@@ -837,6 +837,40 @@ func BenchmarkCompileScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileVsN measures the production compile along the
+// processor axis: gauss, synth8 and jacobi at m=64 on N = 16, 64 and 256
+// processors. Nest counting is closed-form in m, so what grows here is
+// the per-rank send attribution and the candidate grid shapes.
+// BENCH_compile.json's compile_vs_n section records it.
+func BenchmarkCompileVsN(b *testing.B) {
+	const m = 64
+	for _, pc := range []struct {
+		name string
+		prog func() *ir.Program
+	}{
+		{"gauss", ir.Gauss},
+		{"synth8", func() *ir.Program { return ir.Synthetic(8) }},
+		{"jacobi", ir.Jacobi},
+	} {
+		for _, n := range []int{16, 64, 256} {
+			pc, n := pc, n
+			b.Run(fmt.Sprintf("%s/N=%d", pc.name, n), func(b *testing.B) {
+				var res *core.CompileResult
+				for i := 0; i < b.N; i++ {
+					c := core.NewCompiler(pc.prog(), cost.Unit(), map[string]int{"m": m}, n)
+					r, err := c.Compile()
+					if err != nil {
+						b.Fatal(err)
+					}
+					res = r
+				}
+				b.ReportMetric(res.DP.MinimumCost, "dpcost")
+				b.ReportMetric(float64(len(res.DP.Segments)), "segments")
+			})
+		}
+	}
+}
+
 // BenchmarkSymbolicEvaluator measures the closed-form compile: planfit
 // is the one-time cost of compiling a program and fitting every cost
 // term — nest counts, loop-carried words and scheme-change loads — as

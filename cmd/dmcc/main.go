@@ -230,8 +230,10 @@ func execute(p *ir.Program, m, n, jobs int) error {
 		}
 	}
 	fmt.Printf("-- executed on the simulated machine (%s, %d iteration(s)) --\n", ss.Grid, iters)
-	fmt.Printf("  simulated makespan %.0f, %d messages, %d words\n",
+	fmt.Printf("  naive replay: simulated makespan %.0f, %d messages, %d words\n",
 		res.Stats.ParallelTime, res.Stats.Messages, res.Stats.Words)
+	fmt.Printf("  lowered transport: simulated makespan %.0f, %d messages, %d words\n",
+		res.Transport.ParallelTime, res.Transport.Messages, res.Transport.Words)
 	fmt.Printf("  max |parallel - sequential interpreter| = %.3g\n", maxDiff)
 	if maxDiff > 1e-9 {
 		return fmt.Errorf("execution diverged from the sequential interpreter by %g", maxDiff)

@@ -59,7 +59,7 @@ func main() {
 	doTrace := flag.Bool("trace", false, "print per-processor time breakdown and Gantt chart")
 	seed := flag.Int64("seed", 1, "system generator seed")
 	pipeline := flag.Bool("pipeline", true, "exec backend: vectored two-phase / ring reduction exchange (false = per-element finalizes)")
-	redistName := flag.String("redist", "auto", "exec backend scheme-change lowering: auto, collective, p2p")
+	redistName := flag.String("redist", "collective", "exec backend scheme-change lowering: collective (auto is a synonym) or p2p")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -75,7 +75,7 @@ func main() {
 	if err != nil {
 		cli.Usage("dmrun", err)
 	}
-	redist, err := parseRedist(*redistName)
+	redist, err := exec.ParseRedist(*redistName)
 	if err != nil {
 		cli.Usage("dmrun", err)
 	}
@@ -207,19 +207,6 @@ func parseEngine(name string) (exec.Engine, error) {
 	return exec.EngineAuto, fmt.Errorf("unknown -engine %q (want auto, events or goroutines)", name)
 }
 
-// parseRedist maps the -redist flag value onto an exec.Redist.
-func parseRedist(name string) (exec.Redist, error) {
-	switch name {
-	case "auto":
-		return exec.RedistAuto, nil
-	case "collective":
-		return exec.RedistCollective, nil
-	case "p2p":
-		return exec.RedistP2P, nil
-	}
-	return exec.RedistAuto, fmt.Errorf("unknown -redist %q (want auto, collective or p2p)", name)
-}
-
 func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64, noPipe bool, engine exec.Engine, redist exec.Redist) error {
 	a, b, _ := matrix.DiagonallyDominant(m, seed)
 	var p *ir.Program
@@ -266,12 +253,16 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64, noP
 	for i := 1; i <= m; i++ {
 		x[i-1] = res.Values.Load(ir.R("X", ir.Const(i)), []int{i})
 	}
-	report(fmt.Sprintf("%s (exec backend, %s redistribution) on %d processors, %d iters",
-		kernel, redist, n, iters), res.Stats, matrix.MaxAbsDiff(x, ref))
-	fmt.Printf("  transport (batched): %d messages, %d words, largest message %d words\n",
-		res.Transport.Messages, res.Transport.Words, res.Transport.MaxMsgWords)
-	fmt.Printf("  busiest pair: %d messages, %d words\n",
-		res.Transport.MaxPairMessages, res.Transport.MaxPairWords)
+	// Stats is the naive per-element replay; Transport is what the
+	// lowered schedules actually moved.
+	st, tr := res.Stats, res.Transport
+	fmt.Printf("%s (exec backend, %s redistribution) on %d processors, %d iters\n", kernel, redist, n, iters)
+	fmt.Printf("  naive replay: simulated makespan %.0f, %d messages, %d words\n", st.ParallelTime, st.Messages, st.Words)
+	fmt.Printf("  lowered transport: simulated makespan %.0f, %d messages, %d words, largest message %d words\n",
+		tr.ParallelTime, tr.Messages, tr.Words, tr.MaxMsgWords)
+	fmt.Printf("  busiest pair: %d messages, %d words\n", tr.MaxPairMessages, tr.MaxPairWords)
+	fmt.Printf("  flops: %d total, %d on the most loaded processor\n", st.Flops, st.MaxFlops())
+	fmt.Printf("  max |diff| vs sequential reference: %.3g\n", matrix.MaxAbsDiff(x, ref))
 	return nil
 }
 

@@ -109,7 +109,7 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline JSON file to diff against; regressions exit nonzero")
 	baselineTol := flag.Float64("baseline-tol", 0, "relative tolerance for -baseline (0.05 = 5%)")
 	pipeline := flag.Bool("pipeline", true, "exec sweep: vectored two-phase / ring reduction exchange (false = per-element finalizes)")
-	redistName := flag.String("redist", "auto", "exec/scale sweeps: scheme-change lowering (auto, collective, p2p)")
+	redistName := flag.String("redist", "collective", "exec/scale sweeps: scheme-change lowering (collective, auto as its synonym, or p2p)")
 	shard := flag.String("shard", "", "run one shard of the sweep, as k/n (e.g. 0/2, 1/2)")
 	storeRemote := flag.String("store-remote", "", "peer daemon URL to tier the cache over (implies -cache)")
 	remoteTimeout := flag.Duration("remote-timeout", 5*time.Second, "per-call bound on peer store requests")
@@ -149,7 +149,7 @@ func main() {
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
-	redist, err := parseRedist(*redistName)
+	redist, err := exec.ParseRedist(*redistName)
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
@@ -273,19 +273,6 @@ func parseShard(s string) (k, n int, err error) {
 		return 0, 0, fmt.Errorf("bad -shard %q (want 0 <= k < n)", s)
 	}
 	return k, n, nil
-}
-
-// parseRedist maps the -redist flag value onto an exec.Redist.
-func parseRedist(name string) (exec.Redist, error) {
-	switch name {
-	case "auto":
-		return exec.RedistAuto, nil
-	case "collective":
-		return exec.RedistCollective, nil
-	case "p2p":
-		return exec.RedistP2P, nil
-	}
-	return exec.RedistAuto, fmt.Errorf("unknown -redist %q (want auto, collective or p2p)", name)
 }
 
 // startProfiles starts CPU profiling (when cpu != "") and returns the

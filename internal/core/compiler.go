@@ -150,30 +150,54 @@ func (c *Compiler) jobs() int {
 // fanOut runs fn(k) for k in [0, n) using at most jobs() concurrent
 // workers drawn from a shared pool; calls run inline when the pool is
 // saturated (so nested fan-outs never deadlock). fn must be safe to run
-// concurrently with other indices.
-func (c *Compiler) fanOut(n int, fn func(k int)) {
+// concurrently with other indices. A panic in fn is recovered where it
+// runs and returned as an error — the lowest panicking index's, so the
+// error does not depend on scheduling — instead of killing the process
+// from a worker goroutine no caller can recover.
+func (c *Compiler) fanOut(n int, fn func(k int)) error {
+	panics := make([]error, n)
+	run := func(k int) {
+		defer recoverError(&panics[k])
+		fn(k)
+	}
 	if n <= 1 || c.jobs() == 1 {
 		for k := 0; k < n; k++ {
-			fn(k)
+			run(k)
 		}
-		return
+	} else {
+		c.poolOnce.Do(func() { c.sem = make(chan struct{}, c.jobs()) })
+		var wg sync.WaitGroup
+		for k := 0; k < n; k++ {
+			select {
+			case c.sem <- struct{}{}:
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					defer func() { <-c.sem }()
+					run(k)
+				}(k)
+			default:
+				run(k)
+			}
+		}
+		wg.Wait()
 	}
-	c.poolOnce.Do(func() { c.sem = make(chan struct{}, c.jobs()) })
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		select {
-		case c.sem <- struct{}{}:
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				defer func() { <-c.sem }()
-				fn(k)
-			}(k)
-		default:
-			fn(k)
+	for _, err := range panics {
+		if err != nil {
+			return err
 		}
 	}
-	wg.Wait()
+	return nil
+}
+
+// recoverError turns a panic of the calling goroutine into *err. Deferred
+// by fanOut's workers and by every memoized cost computation, so a panic
+// is stored in the cache entry as an error rather than leaving a zero
+// cost behind a completed sync.Once.
+func recoverError(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("core: internal error: %v", r)
+	}
 }
 
 // countNest dispatches nest counting to the engine the configuration
@@ -258,7 +282,8 @@ func (c *Compiler) SegmentCost(i, j int) (float64, *SchemeSet, error) {
 	return e.cost, e.ss, e.err
 }
 
-func (c *Compiler) segmentCost(i, j int) (float64, *SchemeSet, error) {
+func (c *Compiler) segmentCost(i, j int) (_ float64, _ *SchemeSet, err error) {
+	defer recoverError(&err)
 	if i < 1 || j < 1 || i+j-1 > len(c.Program.Nests) {
 		return 0, nil, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
 	}
@@ -277,7 +302,7 @@ func (c *Compiler) segmentCost(i, j int) (float64, *SchemeSet, error) {
 	sets := make([]*SchemeSet, len(shapes))
 	costs := make([]float64, len(shapes))
 	errs := make([]error, len(shapes))
-	c.fanOut(len(shapes), func(k int) {
+	err = c.fanOut(len(shapes), func(k int) {
 		ss, err := DeriveSchemes(c.Program, pt, shapes[k], c.Bind, cyclic)
 		if err != nil {
 			errs[k] = err
@@ -297,6 +322,9 @@ func (c *Compiler) segmentCost(i, j int) (float64, *SchemeSet, error) {
 		}
 		sets[k], costs[k] = ss, total
 	})
+	if err != nil {
+		return 0, nil, err
+	}
 	// Serial reduce in shape order with a strict < keeps the winning
 	// shape identical to the historical serial loop on ties.
 	var best *SchemeSet
@@ -342,7 +370,8 @@ func (c *Compiler) ChangeCost(from, to *SchemeSet) (float64, error) {
 	return e.cost, e.err
 }
 
-func (c *Compiler) changeCost(from, to *SchemeSet) (float64, error) {
+func (c *Compiler) changeCost(from, to *SchemeSet) (_ float64, err error) {
+	defer recoverError(&err)
 	names := make([]string, 0, len(c.Program.Arrays))
 	for n := range c.Program.Arrays {
 		names = append(names, n)
@@ -444,7 +473,8 @@ func (c *Compiler) LoopCarriedCost(final *SchemeSet) (float64, error) {
 	return e.cost, e.err
 }
 
-func (c *Compiler) loopCarriedCost(final *SchemeSet) (float64, error) {
+func (c *Compiler) loopCarriedCost(final *SchemeSet) (_ float64, err error) {
+	defer recoverError(&err)
 	total := 0.0
 	for t, nest := range c.Program.Nests {
 		ct, err := c.countNest(nest, final, cost.CountOptions{
@@ -477,8 +507,10 @@ func (c *Compiler) precompute(s int) {
 			keys = append(keys, ij{i, j})
 		}
 	}
-	c.fanOut(len(keys), func(k int) {
-		c.SegmentCost(keys[k].i, keys[k].j) //nolint:errcheck — errors resurface from the cache in RunDP
+	// Errors and recovered panics alike resurface from the caches when
+	// RunDP asks again, so the warm-up fan-outs ignore them.
+	_ = c.fanOut(len(keys), func(k int) {
+		c.SegmentCost(keys[k].i, keys[k].j) //nolint:errcheck
 	})
 	// Distinct scheme sets, in a deterministic order.
 	bySig := map[string]*SchemeSet{}
@@ -504,11 +536,11 @@ func (c *Compiler) precompute(s int) {
 			}
 		}
 	}
-	c.fanOut(len(pairs), func(k int) {
+	_ = c.fanOut(len(pairs), func(k int) {
 		c.ChangeCost(pairs[k].from, pairs[k].to) //nolint:errcheck — cache warm-up only
 	})
 	if c.Program.Iterative {
-		c.fanOut(len(sigs), func(k int) {
+		_ = c.fanOut(len(sigs), func(k int) {
 			c.LoopCarriedCost(bySig[sigs[k]]) //nolint:errcheck — cache warm-up only
 		})
 	}
@@ -528,8 +560,10 @@ type CompileResult struct {
 // Compile runs the full pipeline: per-segment alignment + Algorithm 1 +
 // pipelining analysis. With Jobs != 1 the cost tables are precomputed in
 // parallel first; the DP itself always runs serially over the caches, so
-// the result does not depend on Jobs.
-func (c *Compiler) Compile() (*CompileResult, error) {
+// the result does not depend on Jobs. A panic anywhere in the pipeline,
+// worker goroutines included, comes back as an error.
+func (c *Compiler) Compile() (_ *CompileResult, err error) {
+	defer recoverError(&err)
 	if err := c.Program.Validate(); err != nil {
 		return nil, err
 	}

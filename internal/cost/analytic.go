@@ -19,9 +19,14 @@
 //     (element, processor) "needed" pairs of the walker are counts of
 //     unions of such rects, by inclusion-exclusion, minus the part the
 //     processor owns;
-//   - send attribution and reduction combining trees partition the
-//     element space into owner-coordinate cells, exactly like
-//     RedistLoads' per-dimension joint count tables; a dependent bound
+//   - send attribution expands those inclusion-exclusion terms once per
+//     processor and splits each term's two sides by the per-dimension
+//     owner patterns, so a term's share of an owner-coordinate cell is a
+//     product of two per-dimension counts (or a band count where the
+//     term's band edge crosses the cell), exactly like RedistLoads'
+//     per-dimension joint count tables;
+//   - reduction combining trees partition the element space into
+//     owner-coordinate cells the same way; a dependent bound
 //     between a reduced variable and a free variable cuts those cells at
 //     per-coordinate reach thresholds, and the Section 5 ring is priced
 //     by walking each cell's sorted member chain.
@@ -154,10 +159,17 @@ type anEngine struct {
 	flops []int64
 	in    []int64
 	out   []int64
-	// footprints[arrayIdx][rank] accumulates read rects.
-	footprints [][][]rect
+	// footprints[arrayIdx] accumulates the current rank's read rects.
+	footprints [][]rect
 	remote     int64
 	reduceW    int64
+
+	// Send-attribution scratch, reused across ranks and terms so billing
+	// allocates nothing once warm.
+	terms   []anTerm
+	termRes resArena // residues of e.terms, reset per (array, rank)
+	sup     [2][]anSupport
+	supRes  resArena // residues of e.sup, reset per term
 }
 
 // countNestAnalytic computes CountNestOptsExact's Counts in closed form.
@@ -173,8 +185,9 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		stride *= g.Extent(gd)
 	}
 	e.rankCoords = make([][]int, e.nprocs)
+	coords := make([]int, e.nprocs*e.q)
 	for r := 0; r < e.nprocs; r++ {
-		e.rankCoords[r] = make([]int, e.q)
+		e.rankCoords[r] = coords[r*e.q : (r+1)*e.q : (r+1)*e.q]
 		for gd := 0; gd < e.q; gd++ {
 			e.rankCoords[r][gd] = g.Coord(r, gd)
 		}
@@ -274,11 +287,12 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 			n := g.Extent(d.GridDim)
 			pats := make([]iset, n)
 			for c := 0; c < n; c++ {
-				pats[c] = setFromPattern(dist.OwnedPatternOf(d, n, c, shape[k]))
-				periodLCM = lcmInt(periodLCM, pats[c].p)
+				pat := setFromPattern(dist.OwnedPatternOf(d, n, c, shape[k]))
+				periodLCM = lcmInt(periodLCM, pat.p)
 				if periodLCM > maxAnalyticPeriod {
 					return nil, false
 				}
+				pats[c] = pat.tight()
 			}
 			a.dims[k] = anDim{gd: d.GridDim, n: n, pats: pats}
 		}
@@ -387,16 +401,21 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 	e.flops = make([]int64, e.nprocs)
 	e.in = make([]int64, e.nprocs)
 	e.out = make([]int64, e.nprocs)
-	e.footprints = make([][][]rect, len(e.arrays))
-	for i := range e.footprints {
-		e.footprints[i] = make([][]rect, e.nprocs)
+	e.footprints = make([][]rect, len(e.arrays))
+	cells := make([]anCells, len(e.arrays))
+	for i, a := range e.arrays {
+		cells[i] = e.ownerCells(a)
 	}
 
-	// Per-rank pass: instance counts (flops) and read footprints.
+	// Per-rank pass: instance counts (flops) and read footprints, then the
+	// rank's needed words and the sends they cause.
 	allowed := make([]iset, len(nest.Loops))
 	constrained := make([]bool, len(nest.Loops))
 	for pr := 0; pr < e.nprocs; pr++ {
 		q := e.rankCoords[pr]
+		for i := range e.footprints {
+			e.footprints[i] = e.footprints[i][:0]
+		}
 		for _, as := range e.stmts {
 			if !e.rankExecutes(as, q, allowed, constrained) {
 				continue
@@ -416,7 +435,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 				if !ok {
 					continue
 				}
-				fp := e.footprints[rd.arr.idx][pr]
+				fp := e.footprints[rd.arr.idx]
 				dup := false
 				for _, x := range fp {
 					if rectEq(x, r) {
@@ -431,43 +450,11 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 				if len(fp) > maxFootprintRects {
 					return Counts{}, false, nil
 				}
-				e.footprints[rd.arr.idx][pr] = fp
+				e.footprints[rd.arr.idx] = fp
 			}
 		}
-	}
-
-	// Needed words: per (array, rank), the union of read footprints minus
-	// the owned part; sends bill to the element's first owner, found by
-	// partitioning into owner-coordinate cells.
-	for _, a := range e.arrays {
-		for pr := 0; pr < e.nprocs; pr++ {
-			fp := e.footprints[a.idx][pr]
-			if len(fp) == 0 {
-				continue
-			}
-			total := unionCount(fp)
-			owned, okOwned := a.ownedRect(e.rankCoords[pr])
-			var ownedPart int64
-			var fpOwned []rect
-			if okOwned {
-				fpOwned = intersectAll(fp, owned)
-				ownedPart = unionCount(fpOwned)
-			}
-			need := total - ownedPart
-			if need == 0 {
-				continue
-			}
-			e.remote += need
-			e.in[pr] += need
-			e.forEachOwnerCell(a, func(cell rect, firstRank int) {
-				c := unionCount(intersectAll(fp, cell))
-				if okOwned {
-					c -= unionCount(intersectAll(fpOwned, cell))
-				}
-				if c != 0 {
-					e.out[firstRank] += c
-				}
-			})
+		for _, a := range e.arrays {
+			e.billNeeded(a, pr, &cells[a.idx])
 		}
 	}
 
@@ -734,56 +721,167 @@ func (e *anEngine) readRect(rd anRef, allowed []iset, reff iset, hasDep bool) (r
 	return prodRect(s0, s1), true, false
 }
 
-// intersectAll intersects every rect with r, dropping provably empty
-// results.
-func intersectAll(rs []rect, r rect) []rect {
-	out := make([]rect, 0, len(rs))
-	for _, x := range rs {
-		if y, ok := intersectRect(x, r); ok {
-			out = append(out, y)
-		}
-	}
-	return out
+// anTerm is one signed inclusion-exclusion term of a rank's needed
+// elements: an intersection of footprint rects, possibly clipped to the
+// rank's owned part, with its point count n.
+type anTerm struct {
+	sign int64
+	n    int64
+	r    rect
 }
 
-// forEachOwnerCell partitions array a's element space by first-owner rank:
-// one cell per combination of owner coordinates of the mapped dims, with
-// replicated dims, Fixed=All dims, and All coordinates contributing the
-// canonical coordinate 0, exactly as Scheme.Owners' first entry does.
-func (e *anEngine) forEachOwnerCell(a *anArray, visit func(cell rect, firstRank int)) {
-	base := 0
+// anSupport is one owner coordinate's share of a term side: the side
+// intersected with that coordinate's owned pattern, its count, the rank
+// offset of the coordinate, and its extreme members (banded terms only).
+type anSupport struct {
+	set      iset
+	n        int64
+	add      int
+	min, max int
+}
+
+// anCells describes how array a's element space splits into first-owner
+// cells: per array dimension, the owner-coordinate patterns and their rank
+// offsets, plus the offset of the scheme's pinned coordinates. Replicated
+// dims, Fixed=All dims and All coordinates contribute the canonical
+// coordinate 0, exactly as Scheme.Owners' first entry does.
+type anCells struct {
+	base int
+	sets [2][]iset
+	adds [2][]int
+}
+
+func (e *anEngine) ownerCells(a *anArray) anCells {
+	var cl anCells
 	for gd, c := range a.s.Fixed {
 		if c != dist.All {
-			base += c * e.strides[gd]
+			cl.base += c * e.strides[gd]
 		}
 	}
-	dimChoices := func(k int) ([]iset, []int) {
-		if k >= a.rank {
-			return []iset{singletonSet(1)}, []int{0}
+	for k := 0; k < 2; k++ {
+		switch {
+		case k >= a.rank:
+			cl.sets[k], cl.adds[k] = []iset{singletonSet(1)}, []int{0}
+		case a.dims[k].replicated:
+			cl.sets[k], cl.adds[k] = []iset{fullSet(1, a.sizes[k])}, []int{0}
+		default:
+			// Coordinates owning nothing own no cell.
+			d := a.dims[k]
+			for c, pat := range d.pats {
+				if !pat.empty() {
+					cl.sets[k] = append(cl.sets[k], pat)
+					cl.adds[k] = append(cl.adds[k], c*e.strides[d.gd])
+				}
+			}
 		}
-		d := a.dims[k]
-		if d.replicated {
-			return []iset{fullSet(1, a.sizes[k])}, []int{0}
-		}
-		adds := make([]int, d.n)
-		for c := 0; c < d.n; c++ {
-			adds[c] = c * e.strides[d.gd]
-		}
-		return d.pats, adds
 	}
-	sets0, adds0 := dimChoices(0)
-	sets1, adds1 := dimChoices(1)
-	for c0, s0 := range sets0 {
-		if s0.empty() {
-			continue
-		}
-		for c1, s1 := range sets1 {
-			if s1.empty() {
+	return cl
+}
+
+// billNeeded prices rank pr's reads of array a: the union of its read
+// footprints minus the part it owns is received, and every needed element
+// is sent by its first owner. The union's inclusion-exclusion terms are
+// expanded once, the owned part's with the opposite sign, and each term
+// bills its elements to their first owners (billSends).
+func (e *anEngine) billNeeded(a *anArray, pr int, cl *anCells) {
+	fp := e.footprints[a.idx]
+	if len(fp) == 0 {
+		return
+	}
+	e.terms = e.terms[:0]
+	e.termRes.reset()
+	e.expandTerms(fp, rect{}, false, 1)
+	if owned, ok := a.ownedRect(e.rankCoords[pr]); ok {
+		e.expandTerms(fp, owned, true, -1)
+	}
+	var need int64
+	for _, t := range e.terms {
+		need += t.sign * t.n
+	}
+	if need == 0 {
+		return
+	}
+	e.remote += need
+	e.in[pr] += need
+	for i := range e.terms {
+		e.billSends(&e.terms[i], cl)
+	}
+}
+
+// expandTerms appends the nonzero inclusion-exclusion terms of |∪ rs| —
+// of |∪ (rs ∩ acc)| when clip is set — to e.terms, the single-rect terms
+// carrying sign. A term that counts zero prunes every deeper intersection
+// with it, since those are subsets.
+func (e *anEngine) expandTerms(rs []rect, acc rect, clip bool, sign int64) {
+	for j, r := range rs {
+		if clip {
+			var ok bool
+			if r, ok = intersectRect(&e.termRes, acc, r); !ok {
 				continue
 			}
-			visit(prodRect(s0, s1), base+adds0[c0]+adds1[c1])
+		}
+		n := r.count()
+		if n == 0 {
+			continue
+		}
+		e.terms = append(e.terms, anTerm{sign: sign, n: n, r: r})
+		e.expandTerms(rs[j+1:], r, true, -sign)
+	}
+}
+
+// billSends adds one term's elements to the send totals of their first
+// owners. Each side of the term is split by the per-dimension owner
+// patterns — n0 + n1 set intersections rather than n0·n1 rect ones — and
+// coordinates with no support are dropped. A cell's share is then the
+// product of its two supports when the term's bands contain the cell's
+// box, 0 when they miss it, and an exact band count only when a band edge
+// crosses the box.
+func (e *anEngine) billSends(t *anTerm, cl *anCells) {
+	r := &t.r
+	banded := !r.open()
+	e.supRes.reset()
+	for k, side := range [2]iset{r.a, r.b} {
+		sup := e.sup[k][:0]
+		for c, pat := range cl.sets[k] {
+			x := intersectSetsIn(&e.supRes, side, pat)
+			n := x.count()
+			if n == 0 {
+				continue
+			}
+			s := anSupport{set: x, n: n, add: cl.adds[k][c]}
+			if banded {
+				s.min, _ = x.minElem()
+				s.max, _ = x.maxElem()
+				s.set = x.clip(s.min, s.max)
+			}
+			sup = append(sup, s)
+		}
+		e.sup[k] = sup
+	}
+	for i := range e.sup[0] {
+		sa := &e.sup[0][i]
+		for j := range e.sup[1] {
+			sb := &e.sup[1][j]
+			c := sa.n * sb.n
+			if banded {
+				c = r.cellCount(sa, sb)
+			}
+			e.out[cl.base+sa.add+sb.add] += t.sign * c
 		}
 	}
+}
+
+// cellCount counts the points of r inside the box of supports sa × sb.
+func (r *rect) cellCount(sa, sb *anSupport) int64 {
+	dmin, dmax := sb.min-sa.max, sb.max-sa.min
+	smin, smax := sa.min+sb.min, sa.max+sb.max
+	if dmax < r.dlo || dmin > r.dhi || smax < r.slo || smin > r.shi {
+		return 0 // the bands miss the box
+	}
+	if r.dlo <= dmin && dmax <= r.dhi && r.slo <= smin && smax <= r.shi {
+		return sa.n * sb.n // the bands contain the box
+	}
+	return rect{a: sa.set, b: sb.set, dlo: r.dlo, dhi: r.dhi, slo: r.slo, shi: r.shi}.count()
 }
 
 // uMask gates one grid dimension's coordinates for the elements of one

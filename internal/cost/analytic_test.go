@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -190,17 +191,34 @@ func countsEqual(t *testing.T, label string, got, want Counts) {
 // tentpole: the analytic closed forms and the optimized walker must
 // reproduce the reference enumeration word for word across random affine
 // nests, schemes, grid shapes, both loop-step signs, reductions,
-// diagonals, filters and skip options.
+// diagonals, filters and skip options. The large-grid arm reaches 16
+// processors and draws m across a step of the block size ceil(m/n), so
+// per-coordinate owner patterns go empty, partial and full — the cases
+// the send attribution's cell pruning and band classification split on.
 func TestCountNestMatchesOracle(t *testing.T) {
-	grids := []*grid.Grid{
+	checkOracleTrials(t, []*grid.Grid{
 		grid.New(4, 1), grid.New(1, 4), grid.New(2, 2), grid.New(2, 3), grid.New(6, 1),
-	}
-	rng := rand.New(rand.NewSource(42))
+	}, 42, 250, func(rng *rand.Rand, _ *grid.Grid) int { return 8 + rng.Intn(4) })
+	checkOracleTrials(t, []*grid.Grid{
+		grid.New(8, 1), grid.New(1, 8), grid.New(4, 4), grid.New(3, 5), grid.New(16, 1),
+	}, 4242, 150, func(rng *rand.Rand, g *grid.Grid) int {
+		// k*n-2 .. k*n+2 with k*n >= 8 straddles the step of ceil(m/n)
+		// at k*n for the widest grid dimension n.
+		n := g.Extent(0)
+		if g.Q() > 1 && g.Extent(1) > n {
+			n = g.Extent(1)
+		}
+		return ceilDiv(8, n)*n - 2 + rng.Intn(5)
+	})
+}
+
+func checkOracleTrials(t *testing.T, grids []*grid.Grid, seed int64, trials int, drawM func(*rand.Rand, *grid.Grid) int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	analyticHits := 0
-	const trials = 250
 	for trial := 0; trial < trials; trial++ {
 		g := grids[trial%len(grids)]
-		m := 8 + rng.Intn(4)
+		m := drawM(rng, g)
 		bind := map[string]int{"m": m}
 		p := randNestProgram(rng, m)
 		if err := p.Validate(); err != nil {
@@ -576,6 +594,59 @@ func TestCountNestAnalyticGauss(t *testing.T) {
 					t.Fatalf("%s/%s pipelined=%v: analytic engine declined a triangular nest", tc.name, nest.Label, pipelined)
 				}
 				countsEqual(t, tc.name+"/"+nest.Label, got, want)
+			}
+		}
+	}
+}
+
+// TestCountNestAnalyticGauss2DGrids is the focused send-attribution case:
+// gauss's triangular L(i,k) band and A(k,k) diagonal footprints under
+// cyclic and block-cyclic row schemes on 2-D grids, at sizes on both
+// sides of a block-size step, so the band edges cross some owner cells,
+// contain others and miss the rest. Every nest must engage the closed
+// forms and agree with the enumeration.
+func TestCountNestAnalyticGauss2DGrids(t *testing.T) {
+	p := ir.Gauss()
+	schemes := func(rows, cols dist.Dim) map[string]dist.Scheme {
+		return map[string]dist.Scheme{
+			"A": dist.Scheme2D(rows, cols, nil),
+			"L": dist.Scheme2D(rows, cols, nil),
+			"V": dist.Scheme1D(rows, map[int]int{1: dist.All}),
+			"B": dist.Scheme1D(rows, map[int]int{1: 0}),
+			"X": dist.Scheme1D(rows, map[int]int{1: dist.All}),
+		}
+	}
+	for _, shape := range [][2]int{{4, 4}, {3, 5}, {2, 8}} {
+		g := grid.New(shape[0], shape[1])
+		for _, m := range []int{15, 16, 17, 21} {
+			bind := map[string]int{"m": m}
+			for _, tc := range []struct {
+				name    string
+				schemes map[string]dist.Scheme
+			}{
+				{"cyclic/block", schemes(dist.Cyclic(0), dist.BlockContiguous(m, shape[1], 1))},
+				{"blockcyclic/block", schemes(dist.BlockCyclic(2, 0), dist.BlockContiguous(m, shape[1], 1))},
+				{"cyclic/cyclic", schemes(dist.Cyclic(0), dist.Cyclic(1))},
+				{"blockcyclic/blockcyclic", schemes(dist.BlockCyclic(3, 0), dist.BlockCyclic(2, 1))},
+			} {
+				for _, pipelined := range []bool{false, true} {
+					opts := CountOptions{PipelinedReduction: pipelined}
+					for _, nest := range p.Nests {
+						label := fmt.Sprintf("%s m=%d %s/%s pipelined=%v", g, m, tc.name, nest.Label, pipelined)
+						want, err := CountNestOptsExact(p, nest, tc.schemes, g, bind, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						got, ok, err := countNestAnalytic(p, nest, tc.schemes, g, bind, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if !ok {
+							t.Fatalf("%s: analytic engine declined a gauss nest", label)
+						}
+						countsEqual(t, label, got, want)
+					}
+				}
 			}
 		}
 	}

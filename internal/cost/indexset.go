@@ -50,20 +50,10 @@ func countResidue(lo, hi, p, r int) int64 {
 	return int64((span-off-1)/p) + 1
 }
 
-func (s iset) count() int64 {
-	if s.hi < s.lo {
-		return 0
-	}
-	var c int64
-	for r, ok := range s.res {
-		if ok {
-			c += countResidue(s.lo, s.hi, s.p, r)
-		}
-	}
-	return c
-}
+func (s iset) count() int64 { return s.countIn(s.lo, s.hi) }
 
-// countIn counts members of s inside [l, h].
+// countIn counts members of s inside [l, h]: every whole period holds
+// each residue once, and the shorter remainder is scanned.
 func (s iset) countIn(l, h int) int64 {
 	if l < s.lo {
 		l = s.lo
@@ -74,10 +64,30 @@ func (s iset) countIn(l, h int) int64 {
 	if h < l {
 		return 0
 	}
+	span := h - l + 1
+	if s.p == 1 {
+		if s.res[0] {
+			return int64(span)
+		}
+		return 0
+	}
 	var c int64
-	for r, ok := range s.res {
-		if ok {
-			c += countResidue(l, h, s.p, r)
+	if full := span / s.p; full > 0 {
+		var per int64
+		for _, ok := range s.res {
+			if ok {
+				per++
+			}
+		}
+		c = int64(full) * per
+	}
+	r := mod(l, s.p)
+	for i := span % s.p; i > 0; i-- {
+		if s.res[r] {
+			c++
+		}
+		if r++; r == s.p {
+			r = 0
 		}
 	}
 	return c
@@ -117,6 +127,22 @@ func (s iset) maxElem() (int, bool) {
 	return 0, false
 }
 
+// tight returns s with its interval shrunk to its extreme members, as a
+// plain interval when those members are contiguous. A cyclic owner
+// pattern whose period exceeds the array extent (N ≥ m) becomes one
+// interval, so the set algebra over it stops scaling with N.
+func (s iset) tight() iset {
+	mn, ok := s.minElem()
+	if !ok {
+		return s
+	}
+	mx, _ := s.maxElem()
+	if s.countIn(mn, mx) == int64(mx-mn+1) {
+		return fullSet(mn, mx)
+	}
+	return s.clip(mn, mx)
+}
+
 // clip restricts the interval to [l, h].
 func (s iset) clip(l, h int) iset {
 	out := s
@@ -138,11 +164,29 @@ func gcdInt(a, b int) int {
 
 func lcmInt(a, b int) int { return a / gcdInt(a, b) * b }
 
-func intersectSets(a, b iset) iset {
+func intersectSets(a, b iset) iset { return intersectSetsIn(nil, a, b) }
+
+// intersectSetsIn is intersectSets with the residue table taken from ar.
+// Intersecting with a whole interval only clips the other set, whose
+// table is shared: tables are never written once built.
+func intersectSetsIn(ar *resArena, a, b iset) iset {
+	if a.p == 1 && a.res[0] {
+		a, b = b, a
+	}
+	if b.p == 1 && b.res[0] {
+		return a.clip(b.lo, b.hi)
+	}
 	p := lcmInt(a.p, b.p)
-	res := make([]bool, p)
-	for r := 0; r < p; r++ {
-		res[r] = a.res[r%a.p] && b.res[r%b.p]
+	res := ar.take(p)
+	ra, rb := 0, 0
+	for r := range res {
+		res[r] = a.res[ra] && b.res[rb]
+		if ra++; ra == a.p {
+			ra = 0
+		}
+		if rb++; rb == b.p {
+			rb = 0
+		}
 	}
 	lo, hi := a.lo, a.hi
 	if b.lo > lo {
@@ -152,6 +196,51 @@ func intersectSets(a, b iset) iset {
 		hi = b.hi
 	}
 	return iset{lo: lo, hi: hi, p: p, res: res}
+}
+
+// resArena hands out residue tables from one reusable slab, so a hot loop
+// can build set intersections without allocating once the slab has grown
+// to its working size. Tables stay valid until the next reset. A nil
+// arena allocates every table.
+type resArena struct{ buf []bool }
+
+func (ar *resArena) reset() { ar.buf = ar.buf[:0] }
+
+func (ar *resArena) take(p int) []bool {
+	if ar == nil {
+		return make([]bool, p)
+	}
+	n := len(ar.buf)
+	if n+p > cap(ar.buf) {
+		// A fresh slab; tables handed out earlier keep the old one alive
+		// until the next reset.
+		ar.buf = make([]bool, 0, maxInt(2*cap(ar.buf), maxInt(p, 256)))
+		n = 0
+	}
+	ar.buf = ar.buf[:n+p]
+	return ar.buf[n : n+p : n+p]
+}
+
+// countMapped counts the members x of a with s*x + c in b, s in {-1, +1},
+// without building the intersection: x mod lcm(a.p, b.p) fixes both
+// residues.
+func countMapped(a, b iset, s, c int) int64 {
+	lo, hi := b.lo-c, b.hi-c
+	if s == -1 {
+		lo, hi = c-b.hi, c-b.lo
+	}
+	lo, hi = maxInt(lo, a.lo), minInt(hi, a.hi)
+	if hi < lo {
+		return 0
+	}
+	p := lcmInt(a.p, b.p)
+	var n int64
+	for r := 0; r < p; r++ {
+		if a.res[r%a.p] && b.res[mod(s*r+c, b.p)] {
+			n += countResidue(lo, hi, p, r)
+		}
+	}
+	return n
 }
 
 // affineImage returns {s*x + c : x in set}, s in {-1, +1}.
@@ -245,22 +334,37 @@ func (r rect) halfPlane(sgn0, sgn1, g int, ge bool) rect {
 	return r
 }
 
+// bandsOpen reports whether the difference and the sum band each leave
+// the box of r's two intervals uncut.
+func (r rect) bandsOpen() (dOpen, sOpen bool) {
+	a, b := r.a, r.b
+	dOpen = r.dlo <= b.lo-a.hi && r.dhi >= b.hi-a.lo
+	sOpen = r.slo <= a.lo+b.lo && r.shi >= a.hi+b.hi
+	return dOpen, sOpen
+}
+
+// open reports whether r is a plain product: neither band cuts its box,
+// nor any sub-box of it.
+func (r rect) open() bool {
+	d, s := r.bandsOpen()
+	return d && s
+}
+
 func (r rect) count() int64 {
 	a, b := r.a, r.b
 	if a.hi < a.lo || b.hi < b.lo {
 		return 0
 	}
-	dOpen := r.dlo <= b.lo-a.hi && r.dhi >= b.hi-a.lo
-	sOpen := r.slo <= a.lo+b.lo && r.shi >= a.hi+b.hi
+	dOpen, sOpen := r.bandsOpen()
 	switch {
 	case dOpen && sOpen:
 		return a.count() * b.count()
 	case r.dlo == r.dhi && sOpen:
 		// One line e1 = e0 + d: members of a whose partner lies in b.
-		return intersectSets(a, b.affinePreimage(1, r.dlo)).count()
+		return countMapped(a, b, 1, r.dlo)
 	case r.slo == r.shi && dOpen:
 		// One line e1 = s - e0.
-		return intersectSets(a, b.affinePreimage(-1, r.slo)).count()
+		return countMapped(a, b, -1, r.slo)
 	case r.dlo == r.dhi && r.slo == r.shi:
 		// Two crossing lines: at most one point.
 		if (r.slo-r.dlo)%2 != 0 {
@@ -315,10 +419,11 @@ func isetEq(x, y iset) bool {
 	return true
 }
 
-// intersectRect intersects two rects. ok == false means provably empty;
-// a true result may still count to zero.
-func intersectRect(x, y rect) (rect, bool) {
-	r := rect{a: intersectSets(x.a, y.a), b: intersectSets(x.b, y.b)}
+// intersectRect intersects two rects, taking residue tables from ar.
+// ok == false means provably empty; a true result may still count to
+// zero.
+func intersectRect(ar *resArena, x, y rect) (rect, bool) {
+	r := rect{a: intersectSetsIn(ar, x.a, y.a), b: intersectSetsIn(ar, x.b, y.b)}
 	r.dlo, r.dhi = maxInt(x.dlo, y.dlo), minInt(x.dhi, y.dhi)
 	r.slo, r.shi = maxInt(x.slo, y.slo), minInt(x.shi, y.shi)
 	if r.a.hi < r.a.lo || r.b.hi < r.b.lo || r.dlo > r.dhi || r.slo > r.shi {
@@ -339,38 +444,6 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// unionCount returns |union of rects| by inclusion-exclusion. The rect
-// count per (array, processor) is bounded by the nest's read references,
-// so the 2^k term stays tiny; callers cap k (see maxFootprintRects).
-func unionCount(rs []rect) int64 {
-	var rec func(i int, acc *rect, depth int) int64
-	rec = func(i int, acc *rect, depth int) int64 {
-		var sum int64
-		for j := i; j < len(rs); j++ {
-			cur := rs[j]
-			if acc != nil {
-				var ok bool
-				cur, ok = intersectRect(*acc, rs[j])
-				if !ok {
-					continue
-				}
-			}
-			c := cur.count()
-			if c == 0 {
-				continue
-			}
-			if depth%2 == 0 {
-				sum += c
-			} else {
-				sum -= c
-			}
-			sum += rec(j+1, &cur, depth+1)
-		}
-		return sum
-	}
-	return rec(0, nil, 0)
 }
 
 // ------------------------------------------------- windowed AP sums --
@@ -435,8 +508,14 @@ func sumWindowed(xs iset, terms []winTerm) int64 {
 	}
 	if xs.hi-xs.lo < sumWindowedDirectCap {
 		var sum int64
+		r := mod(xs.lo, xs.p)
 		for v := xs.lo; v <= xs.hi; v++ {
-			sum += prodAt(v)
+			if xs.res[r] {
+				sum += prodAt(v)
+			}
+			if r++; r == xs.p {
+				r = 0
+			}
 		}
 		return sum
 	}

@@ -226,6 +226,28 @@ func TestEngineParityFuzz(t *testing.T) {
 	}
 }
 
+// TestParseRedist: the zero Options.Redist is the collective lowering,
+// "auto" stays a flag synonym for it, and names round-trip.
+func TestParseRedist(t *testing.T) {
+	if (Options{}).Redist != RedistCollective {
+		t.Fatal("the zero Options.Redist is not RedistCollective")
+	}
+	for name, want := range map[string]Redist{"collective": RedistCollective, "auto": RedistCollective, "p2p": RedistP2P} {
+		got, err := ParseRedist(name)
+		if err != nil || got != want {
+			t.Errorf("ParseRedist(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, r := range []Redist{RedistCollective, RedistP2P} {
+		if got, err := ParseRedist(r.String()); err != nil || got != r {
+			t.Errorf("ParseRedist(%v.String()) = %v, %v", r, got, err)
+		}
+	}
+	if _, err := ParseRedist("bogus"); err == nil {
+		t.Error("ParseRedist accepted an unknown name")
+	}
+}
+
 // TestEngineAutoSelection: EngineAuto resolves to events unless a
 // transport tracer is attached (trace consumers keep the goroutine
 // runtime), and the explicit names round-trip through String.

@@ -93,30 +93,38 @@ func (e Engine) String() string {
 type Redist int
 
 const (
-	// RedistAuto (the zero value) resolves to RedistCollective.
-	RedistAuto Redist = iota
-	// RedistCollective lowers each epoch's operand traffic to a composed
-	// collective plan: per-pair duplicate ships collapse to one copy
-	// (value-safe — within an epoch no batched-shipped element is
-	// written), elements bound for the same destination set travel a
-	// binomial multicast tree instead of a star, and the remaining
-	// single-destination traffic stays a vectored pair exchange. Values
-	// and the naive Stats are identical to RedistP2P; only
-	// Result.Transport changes (fewer words and messages).
-	RedistCollective
+	// RedistCollective, the zero value, lowers each epoch's operand
+	// traffic to a composed collective plan: per-pair duplicate ships
+	// collapse to one copy (value-safe — within an epoch no
+	// batched-shipped element is written), elements bound for the same
+	// destination set travel a binomial multicast tree instead of a
+	// star, and the remaining single-destination traffic stays a
+	// vectored pair exchange. Values and the naive Stats are identical
+	// to RedistP2P; only Result.Transport changes (fewer words and
+	// messages).
+	RedistCollective Redist = iota
 	// RedistP2P keeps the original per-pair vectored exchange: every
 	// ship travels point-to-point, duplicates included.
 	RedistP2P
 )
 
 func (r Redist) String() string {
-	switch r {
-	case RedistCollective:
-		return "collective"
-	case RedistP2P:
+	if r == RedistP2P {
 		return "p2p"
 	}
-	return "auto"
+	return "collective"
+}
+
+// ParseRedist maps a -redist flag value onto a Redist: "collective" (or
+// its synonym "auto") and "p2p".
+func ParseRedist(name string) (Redist, error) {
+	switch name {
+	case "collective", "auto":
+		return RedistCollective, nil
+	case "p2p":
+		return RedistP2P, nil
+	}
+	return RedistCollective, fmt.Errorf("unknown -redist %q (want collective, auto or p2p)", name)
 }
 
 // Options tune the batched engine's transport. The zero value is the
@@ -137,8 +145,8 @@ type Options struct {
 	// Engine picks the transport runtime; EngineAuto (the zero value)
 	// selects events unless TransportTracer is set.
 	Engine Engine
-	// Redist picks the operand-ship lowering; RedistAuto (the zero
-	// value) selects the collective redistribution schedule.
+	// Redist picks the operand-ship lowering; the zero value is the
+	// collective redistribution schedule.
 	Redist Redist
 }
 

@@ -270,6 +270,19 @@ func TestMalformedPlanRejected(t *testing.T) {
 	}
 }
 
+// Source whose compile panics inside a counting worker (an A(0,0) read
+// of a 1-based array) gets a 422 back, and the daemon keeps serving.
+func TestCompilePanicIsClientError(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	src := "PROGRAM oob\nPARAM m\nREAL A(m,m), X(m)\nDO 5 i = 1, m\n" +
+		"3   X(i) = A(0,0) + A(i,i)\n5 CONTINUE\nEND\n"
+	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: src, M: 64, N: 8})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("POST /compile oob: %s: %s", resp.Status, raw)
+	}
+	compileProg(t, ts, "jacobi", 16, 4)
+}
+
 // Bad query parameters and unknown plan handles are 4xx, not panics.
 func TestCostParamValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t)
