@@ -10,9 +10,9 @@
 //     ExactChangeCost for ablation and property testing.
 //   - Nest execution counts go through cost.CountNestOpts, which answers
 //     in closed form (owner-interval/residue intersections per dimension,
-//     factorized across dimensions) for affine nests and falls back to a
-//     compiled iteration walker otherwise; the reference enumerator stays
-//     behind ExactNestCount for ablation and equivalence testing.
+//     factorized across dimensions) for affine nests and falls back to
+//     the reference enumerator otherwise; ExactNestCount forces the
+//     enumerator for every nest, for ablation and equivalence testing.
 //   - SegmentCost, ChangeCost and LoopCarriedCost results are memoized
 //     (segment costs by (i,j), redistribution costs by canonical
 //     SchemeSet signature pairs), collapsing the DP's O(s³) cost-engine
@@ -55,10 +55,10 @@ type Compiler struct {
 	// ExactChangeCost prices redistribution with the element-enumeration
 	// oracle instead of the analytic calculator (ablation/reference).
 	ExactChangeCost bool
-	// ExactNestCount prices nest execution with the reference
+	// ExactNestCount prices every nest with the reference
 	// iteration-space walker (cost.CountNestOptsExact) instead of the
-	// analytic/compiled-walker dispatcher — the PR 1 engine, kept for
-	// ablation and byte-identical-result testing.
+	// analytic-first dispatcher — the PR 1 engine, kept for ablation and
+	// byte-identical-result testing.
 	ExactNestCount bool
 	// NoCache disables cost memoization (ablation).
 	NoCache bool
@@ -82,7 +82,7 @@ type Compiler struct {
 
 	// Engines counts which counting engine answered each nest-pricing
 	// call, so fast-path regressions (an eligible nest silently falling
-	// back to the walker) are observable. Safe for concurrent use; the
+	// back to the enumerator) are observable. Safe for concurrent use; the
 	// pointer is shared when an evaluator clones the compiler.
 	Engines *EngineStats
 
@@ -99,11 +99,9 @@ type Compiler struct {
 type EngineStats struct {
 	// AnalyticHits counts nests priced in closed form.
 	AnalyticHits atomic.Int64
-	// FastwalkFallbacks counts nests that fell back to the compiled
-	// walker.
-	FastwalkFallbacks atomic.Int64
-	// ExactFallbacks counts nests priced by the reference enumerator
-	// (only under the ExactNestCount ablation).
+	// ExactFallbacks counts nests priced by the reference enumerator:
+	// those the analytic engine declines, and every nest under the
+	// ExactNestCount ablation.
 	ExactFallbacks atomic.Int64
 }
 
@@ -111,12 +109,11 @@ type EngineStats struct {
 // dmcc report and the daemon /metrics endpoint expose them.
 func (s *EngineStats) Snapshot() map[string]int64 {
 	if s == nil {
-		return map[string]int64{"analytic_hits": 0, "fastwalk_fallbacks": 0, "exact_fallbacks": 0}
+		return map[string]int64{"analytic_hits": 0, "exact_fallbacks": 0}
 	}
 	return map[string]int64{
-		"analytic_hits":      s.AnalyticHits.Load(),
-		"fastwalk_fallbacks": s.FastwalkFallbacks.Load(),
-		"exact_fallbacks":    s.ExactFallbacks.Load(),
+		"analytic_hits":   s.AnalyticHits.Load(),
+		"exact_fallbacks": s.ExactFallbacks.Load(),
 	}
 }
 
@@ -201,8 +198,8 @@ func recoverError(err *error) {
 }
 
 // countNest dispatches nest counting to the engine the configuration
-// selects: the analytic/compiled-walker dispatcher by default, the
-// reference walker under ExactNestCount.
+// selects: the analytic-first dispatcher by default, the reference
+// walker under ExactNestCount.
 func (c *Compiler) countNest(nest *ir.Nest, ss *SchemeSet, opts cost.CountOptions) (cost.Counts, error) {
 	opts.PipelinedReduction = c.PipelinedReductions
 	if c.ExactNestCount {
@@ -213,11 +210,10 @@ func (c *Compiler) countNest(nest *ir.Nest, ss *SchemeSet, opts cost.CountOption
 	}
 	ct, eng, err := cost.CountNestOptsEngine(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
 	if c.Engines != nil && err == nil {
-		switch eng {
-		case cost.EngineAnalytic:
+		if eng == cost.EngineAnalytic {
 			c.Engines.AnalyticHits.Add(1)
-		default:
-			c.Engines.FastwalkFallbacks.Add(1)
+		} else {
+			c.Engines.ExactFallbacks.Add(1)
 		}
 	}
 	return ct, err

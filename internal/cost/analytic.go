@@ -36,7 +36,7 @@
 // while the cost is independent of the loop extents. Nests or schemes
 // outside the eligible class (bounds depending on more than one outer
 // variable, rotation, non-unit subscript coefficients, out-of-range
-// subscripts) report ok=false and fall back to the optimized walker.
+// subscripts) report ok=false and fall back to the reference enumeration.
 package cost
 
 import (

@@ -5,10 +5,10 @@
 // operand, with a combining tree afterwards), and counts every word that
 // must cross processors. The production entry point (CountNestOpts)
 // computes the same Counts in closed form when the nest and schemes are
-// eligible (see analytic.go) and otherwise falls back to an optimized
-// enumeration (fastwalk.go); both are tested word-for-word against the
-// reference. The dynamic programming algorithm of Section 4 prices
-// candidate distribution schemes with these counts; they are also
+// eligible (see analytic.go) and otherwise falls back to the reference
+// enumeration; the closed form is tested word-for-word against it. The
+// dynamic programming algorithm of Section 4 prices candidate
+// distribution schemes with these counts; they are also
 // cross-checked against the words actually sent by the executable kernels
 // on the simulated machine.
 package cost
@@ -76,19 +76,12 @@ func CountNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *
 	return CountNestOpts(p, nest, schemes, g, bind, CountOptions{})
 }
 
-// CountNestFiltered is CountNest restricted to the read references for
-// which includeRead returns true (nil means all reads). The dynamic
-// programming driver uses it to split a nest's communication into the
-// within-segment part (M of Algorithm 1) and the loop-carried part (the
-// CTime2 term of Fig 3): reads of arrays written later in the iteration
-// body are priced separately.
-func CountNestFiltered(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, includeRead func(array string) bool) (Counts, error) {
-	return CountNestOpts(p, nest, schemes, g, bind, CountOptions{IncludeRead: includeRead})
-}
-
 // CountOptions tailor a counting pass.
 type CountOptions struct {
-	// IncludeRead filters read references by array (nil = all).
+	// IncludeRead filters read references by array (nil = all). The
+	// dynamic programming driver uses it to split a nest's communication
+	// into the within-segment part (M of Algorithm 1) and the
+	// loop-carried part (the CTime2 term of Fig 3).
 	IncludeRead func(array string) bool
 	// SkipReduction omits reduction combining-tree traffic — used by the
 	// loop-carried pass, whose reduction words were already priced in the
@@ -115,18 +108,16 @@ type Engine int
 const (
 	// EngineAnalytic is the closed-form engine (analytic.go).
 	EngineAnalytic Engine = iota
-	// EngineFastwalk is the optimized iteration-space walker the
-	// analytic engine falls back to (fastwalk.go).
-	EngineFastwalk
-	// EngineExact is the reference enumerator (CountNestOptsExact),
-	// selected only by explicit ablation.
+	// EngineExact is the reference enumerator (CountNestOptsExact): the
+	// fallback for nests the analytic engine declines, and the ablation
+	// engine behind core.Compiler.ExactNestCount.
 	EngineExact
 )
 
 // CountNestOpts is the general counting entry point. It produces exactly
 // the Counts of CountNestOptsExact: in closed form, independent of the
-// loop extents, when the nest and schemes are analytic-eligible, and via
-// an optimized iteration-space enumeration otherwise.
+// loop extents, when the nest and schemes are analytic-eligible, and by
+// the reference enumeration otherwise.
 func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
 	ct, _, err := CountNestOptsEngine(p, nest, schemes, g, bind, opts)
 	return ct, err
@@ -134,18 +125,19 @@ func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme,
 
 // CountNestOptsEngine is CountNestOpts, additionally reporting which
 // engine produced the counts — the hook behind the compiler's
-// analytic_hits / fastwalk_fallbacks telemetry.
+// analytic_hits / exact_fallbacks telemetry. The nest is validated once,
+// before either engine runs.
 func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
 	if err := validateNest(p, nest, schemes, g, bind); err != nil {
-		return Counts{}, EngineFastwalk, err
+		return Counts{}, EngineExact, err
 	}
 	if ct, ok, err := countNestAnalytic(p, nest, schemes, g, bind, opts); err != nil {
 		return Counts{}, EngineAnalytic, err
 	} else if ok {
 		return ct, EngineAnalytic, nil
 	}
-	ct, err := countNestFast(p, nest, schemes, g, bind, opts)
-	return ct, EngineFastwalk, err
+	ct, err := countNestWalk(p, nest, schemes, g, bind, opts)
+	return ct, EngineExact, err
 }
 
 // validateNest checks the program, and that every referenced array has a
@@ -196,15 +188,19 @@ func (c *ownerCache) owners(e elemKey) []int {
 }
 
 // CountNestOptsExact is the reference counting engine: a direct walk of
-// the iteration space. It is the oracle the analytic engine and the
-// optimized walker are verified against, and the ablation engine behind
-// core.Compiler.ExactNestCount.
+// the iteration space. It is the oracle the analytic engine is verified
+// against, the fallback for nests that engine declines, and the ablation
+// engine behind core.Compiler.ExactNestCount.
 func CountNestOptsExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-	includeRead := opts.IncludeRead
 	if err := validateNest(p, nest, schemes, g, bind); err != nil {
 		return Counts{}, err
 	}
+	return countNestWalk(p, nest, schemes, g, bind, opts)
+}
 
+// countNestWalk is CountNestOptsExact on an already validated nest.
+func countNestWalk(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
+	includeRead := opts.IncludeRead
 	flops := map[int]int64{}
 	needed := map[needKey]bool{}
 	// partials[lhs element] = set of processors holding a partial sum.

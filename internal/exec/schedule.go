@@ -190,11 +190,11 @@ const (
 
 // pinstr is one value-pass instruction of one processor.
 type pinstr struct {
-	op    uint8
-	role  uint8
-	stmt  int32
-	dst   int32 // opSendDirect: receiver rank
-	elem  elemID
+	op     uint8
+	role   uint8
+	stmt   int32
+	dst    int32 // opSendDirect: receiver rank
+	elem   elemID
 	env    []int32
 	slots  []slot
 	flush  *flushOp

@@ -111,9 +111,16 @@ func (h procHeap) Less(i, j int) bool {
 	}
 	return h[i].rank < h[j].rank
 }
-func (h procHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *procHeap) Push(x any)        { *h = append(*h, x.(*EventProc)) }
-func (h *procHeap) Pop() any          { old := *h; n := len(old); p := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return p }
+func (h procHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *procHeap) Push(x any)   { *h = append(*h, x.(*EventProc)) }
+func (h *procHeap) Pop() any {
+	old := *h
+	n := len(old)
+	p := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return p
+}
 func (m *EventMachine) wake(p *EventProc, key float64) {
 	p.key = key
 	if m.direct == nil && m.ready.Len() == 0 {

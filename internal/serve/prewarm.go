@@ -75,18 +75,10 @@ func parsePlanKey(key string) (req CompileRequest, ok bool) {
 	}
 	req.N = n
 	req.Greedy = fields["greedy"] == "true"
-	exactnest := fields["exactnest"] == "true"
-	exactchange := fields["exactchange"] == "true"
-	nocache := fields["nocache"] == "true"
-	switch {
-	case exactnest && exactchange && nocache:
-		req.Engine = "prechange"
-	case exactnest && !exactchange && !nocache:
-		req.Engine = "pr1"
-	case !exactnest && !exactchange && !nocache:
-		req.Engine = "fast"
-	default:
-		return req, false // no engine name produces this flag combination
+	// The daemon compiles only with the production engine; keys minted
+	// under an ablation engine are not its to serve.
+	if fields["exactnest"] == "true" || fields["exactchange"] == "true" || fields["nocache"] == "true" {
+		return req, false
 	}
 	// The fit spec pins the base size the plan was fitted at; a daemon
 	// key always fits at the bound M.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"dmcc/internal/artifact"
@@ -157,7 +158,7 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("daemon-minted key does not parse: %s", key)
 	}
-	if got.Prog != "jacobi" || got.M != 16 || got.N != 4 || got.Engine != "fast" {
+	if got.Prog != "jacobi" || got.M != 16 || got.N != 4 {
 		t.Fatalf("parsed %+v from %s", got, key)
 	}
 	// The parse must re-derive the byte-identical key.
@@ -174,6 +175,10 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 		"kind=memo;" + key[len("kind=planfit;"):],
 		"kind=planfit;prog=0000;bind=m=16;n=4",
 		"",
+		// Keys minted under an ablation engine.
+		strings.Replace(key, "exactnest=false", "exactnest=true", 1),
+		strings.Replace(key, "exactchange=false", "exactchange=true", 1),
+		strings.Replace(key, "nocache=false", "nocache=true", 1),
 	} {
 		if _, ok := parsePlanKey(bad); ok {
 			t.Fatalf("parsePlanKey accepted %q", bad)

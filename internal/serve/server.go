@@ -182,8 +182,6 @@ type CompileRequest struct {
 	Source string `json:"source,omitempty"`
 	M      int    `json:"m"`
 	N      int    `json:"n"`
-	// Engine picks the cost engine: fast (default), pr1, prechange.
-	Engine string `json:"engine,omitempty"`
 	Greedy bool   `json:"greedy,omitempty"`
 }
 
@@ -248,17 +246,6 @@ func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, e
 	c.UseGreedyAlign = req.Greedy
 	c.Jobs = s.cfg.Jobs
 	c.Engines = &s.engines
-	switch req.Engine {
-	case "", "fast":
-	case "pr1":
-		c.ExactNestCount = true
-	case "prechange":
-		c.ExactNestCount = true
-		c.ExactChangeCost = true
-		c.NoCache = true
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want fast, pr1 or prechange)", req.Engine)
-	}
 	return c, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -310,6 +311,30 @@ func TestCostParamValidation(t *testing.T) {
 	}
 }
 
+// The ablation engines are bench hooks, not a public knob: a body that
+// asks for one is an unknown field, so the uncached exact path is never
+// reachable over HTTP.
+func TestCompileRejectsEngineField(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	for _, body := range []string{
+		`{"prog":"jacobi","m":16,"n":4,"engine":"pr1"}`,
+		`{"prog":"jacobi","m":16,"n":4,"engine":"prechange"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", body, resp.StatusCode, raw)
+		}
+	}
+	if n := s.Metrics().Server.Compiles; n != 0 {
+		t.Fatalf("rejected bodies ran %d compiles", n)
+	}
+}
+
 // A plan evicted from disk is still served: /cost prices it from the
 // in-memory evaluator and /plan re-freezes it on demand.
 func TestServingSurvivesEviction(t *testing.T) {
@@ -429,8 +454,8 @@ func TestGaussCostColdMicroseconds(t *testing.T) {
 
 // TestMetricsEngineCounters: the daemon's compiles run entirely on the
 // analytic counting engine for the builtin programs — the /metrics
-// document proves it, and a fastwalk or exact fallback there is a
-// counting-engine regression.
+// document proves it, and an exact fallback there is a counting-engine
+// regression. The snapshot names exactly the two engines.
 func TestMetricsEngineCounters(t *testing.T) {
 	s, ts, _ := newTestServer(t)
 	compileProg(t, ts, "gauss", 64, 16)
@@ -439,8 +464,16 @@ func TestMetricsEngineCounters(t *testing.T) {
 	if eng["analytic_hits"] == 0 {
 		t.Fatalf("no analytic hits recorded: %v", eng)
 	}
-	if eng["fastwalk_fallbacks"] != 0 || eng["exact_fallbacks"] != 0 {
+	if eng["exact_fallbacks"] != 0 {
 		t.Fatalf("builtin compiles fell back: %v", eng)
+	}
+	var keys []string
+	for k := range eng {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if fmt.Sprint(keys) != "[analytic_hits exact_fallbacks]" {
+		t.Fatalf("engine counter keys = %v, want [analytic_hits exact_fallbacks]", keys)
 	}
 	resp, raw := getBody(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {

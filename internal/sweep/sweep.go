@@ -555,15 +555,18 @@ func PlanFor(c *core.Compiler, baseM int, opt Options) (pe *core.PlanEvaluator, 
 
 // --------------------------------------------------------------- exec --
 
-// execProgs are the exec-sweep workloads: the three paper programs with
-// their scalar bindings and iteration counts.
-var execProgs = []struct {
+// execProg is one exec-sweep workload: a paper program with its scalar
+// bindings and iteration count.
+type execProg struct {
 	name    string
 	mk      func() *ir.Program
 	scalars map[string]float64
 	iters   int
 	x0      bool
-}{
+}
+
+// execProgs are the exec and scale sweeps' workloads.
+var execProgs = []execProg{
 	{"jacobi", ir.Jacobi, nil, 2, true},
 	{"sor", ir.SOR, map[string]float64{"OMEGA": 1.2}, 2, true},
 	{"gauss", ir.Gauss, nil, 1, false},
@@ -607,7 +610,8 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 						key:     artifact.KeyOf(keyParts...),
 						wallCol: "wall_ns",
 						compute: func() (map[string]float64, error) {
-							return execPoint(pr.mk(), pr.scalars, pr.iters, pr.x0, engine, m, n, cfg, noPipe, redist)
+							return execPoint(pr, m, n, cfg, engine == "exact",
+								exec.Options{NoPipeline: noPipe, Redist: redist}, nil)
 						},
 					})
 				}
@@ -666,7 +670,8 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 						key:     artifact.KeyOf(keyParts...),
 						wallCol: "wall_ns",
 						compute: func() (map[string]float64, error) {
-							return scalePoint(pr.mk(), pr.scalars, pr.iters, pr.x0, engine, m, n, cfg, redist, &simNS)
+							return execPoint(pr, m, n, cfg, false,
+								exec.Options{Engine: engine, Redist: redist}, &simNS)
 						},
 						moreWall: func() map[string]float64 {
 							if simNS == 0 {
@@ -686,68 +691,40 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 	return &Result{Kind: "scale", Rows: rows}, nil
 }
 
-func scalePoint(p *ir.Program, scalars map[string]float64, iters int, x0 bool, engine exec.Engine, m, n int, cfg machine.Config, redist exec.Redist, simNS *float64) (map[string]float64, error) {
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
-	if err != nil {
-		return nil, err
-	}
-	a, b, _ := matrix.DiagonallyDominant(m, 1)
-	input := ir.NewStorage(p)
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= m; j++ {
-			input.Store("A", []int{i, j}, a.At(i-1, j-1))
-		}
-		input.Store("B", []int{i}, b[i-1])
-		if x0 {
-			input.Store("X", []int{i}, 0)
-		}
-	}
-	res, err := exec.RunOpts(p, ss, map[string]int{"m": m}, scalars, iters, cfg, input,
-		exec.Options{Engine: engine, Redist: redist})
-	if err != nil {
-		return nil, err
-	}
-	*simNS = float64(res.SimWall.Nanoseconds())
-	return map[string]float64{
-		"simtime":            res.Stats.ParallelTime,
-		"messages":           float64(res.Stats.Messages),
-		"words":              float64(res.Stats.Words),
-		"transport_messages": float64(res.Transport.Messages),
-		"transport_words":    float64(res.Transport.Words),
-		"max_msg_words":      float64(res.Transport.MaxMsgWords),
-		"max_pair_messages":  float64(res.Transport.MaxPairMessages),
-		"max_pair_words":     float64(res.Transport.MaxPairWords),
-	}, nil
-}
-
-func execPoint(p *ir.Program, scalars map[string]float64, iters int, x0 bool, engine string, m, n int, cfg machine.Config, noPipe bool, redist exec.Redist) (map[string]float64, error) {
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
-	if err != nil {
-		return nil, err
-	}
-	a, b, _ := matrix.DiagonallyDominant(m, 1)
-	input := ir.NewStorage(p)
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= m; j++ {
-			input.Store("A", []int{i, j}, a.At(i-1, j-1))
-		}
-		input.Store("B", []int{i}, b[i-1])
-		if x0 {
-			input.Store("X", []int{i}, 0)
-		}
-	}
+// execPoint compiles pr's whole-program scheme at (m, n), runs it on the
+// simulated machine and returns the deterministic metrics. exact selects
+// the per-element RunExact oracle, otherwise RunOpts runs under xo.
+// simNS, when non-nil, receives the engine-dependent phase's wall time.
+func execPoint(pr execProg, m, n int, cfg machine.Config, exact bool, xo exec.Options, simNS *float64) (map[string]float64, error) {
+	p := pr.mk()
 	bind := map[string]int{"m": m}
+	c := core.NewCompiler(p, cost.Unit(), bind, n)
+	_, ss, err := c.SegmentCost(1, len(p.Nests))
+	if err != nil {
+		return nil, err
+	}
+	a, b, _ := matrix.DiagonallyDominant(m, 1)
+	input := ir.NewStorage(p)
+	for i := 1; i <= m; i++ {
+		for j := 1; j <= m; j++ {
+			input.Store("A", []int{i, j}, a.At(i-1, j-1))
+		}
+		input.Store("B", []int{i}, b[i-1])
+		if pr.x0 {
+			input.Store("X", []int{i}, 0)
+		}
+	}
 	var res exec.Result
-	if engine == "exact" {
-		res, err = exec.RunExact(p, ss, bind, scalars, iters, cfg, input)
+	if exact {
+		res, err = exec.RunExact(p, ss, bind, pr.scalars, pr.iters, cfg, input)
 	} else {
-		res, err = exec.RunOpts(p, ss, bind, scalars, iters, cfg, input,
-			exec.Options{NoPipeline: noPipe, Redist: redist})
+		res, err = exec.RunOpts(p, ss, bind, pr.scalars, pr.iters, cfg, input, xo)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if simNS != nil {
+		*simNS = float64(res.SimWall.Nanoseconds())
 	}
 	return map[string]float64{
 		"simtime":            res.Stats.ParallelTime,
