@@ -871,6 +871,71 @@ func BenchmarkCompileVsN(b *testing.B) {
 	}
 }
 
+// BenchmarkExecScale measures the exec backend along the processor axis:
+// exec.RunOpts with default Options (event runtime, collective
+// redistribution, pipelined reductions) of jacobi, sor and gauss at m=64
+// on N = 16, 64 and 256 processors, the benchmark's exec-scale points.
+// The compile runs outside the timer. inspect_ms, sim_ms and replay_ms
+// split one run into the inspector walk, the machine run of the value
+// pass and the naive-model stats replay. BENCH_exec.json's exec_vs_n
+// section records it.
+func BenchmarkExecScale(b *testing.B) {
+	const m = 64
+	for _, pc := range []struct {
+		name    string
+		prog    func() *ir.Program
+		scalars map[string]float64
+		iters   int
+		x0      bool
+	}{
+		{"jacobi", ir.Jacobi, nil, 2, true},
+		{"sor", ir.SOR, map[string]float64{"OMEGA": 1.2}, 2, true},
+		{"gauss", ir.Gauss, nil, 1, false},
+	} {
+		for _, n := range []int{16, 64, 256} {
+			pc, n := pc, n
+			b.Run(fmt.Sprintf("%s/N=%d", pc.name, n), func(b *testing.B) {
+				prog := pc.prog()
+				bind := map[string]int{"m": m}
+				c := core.NewCompiler(prog, cost.Unit(), bind, n)
+				_, ss, err := c.SegmentCost(1, len(prog.Nests))
+				if err != nil {
+					b.Fatal(err)
+				}
+				a, rhs, _ := matrix.DiagonallyDominant(m, 11)
+				input := ir.NewStorage(prog)
+				for i := 1; i <= m; i++ {
+					for j := 1; j <= m; j++ {
+						input.Store("A", []int{i, j}, a.At(i-1, j-1))
+					}
+					input.Store("B", []int{i}, rhs[i-1])
+					if pc.x0 {
+						input.Store("X", []int{i}, 0)
+					}
+				}
+				b.ResetTimer()
+				var last exec.Result
+				var inspect, sim, replay float64
+				for i := 0; i < b.N; i++ {
+					res, err := exec.RunOpts(prog, ss, bind, pc.scalars, pc.iters, machine.DefaultConfig(), input, exec.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					inspect += float64(res.InspectWall.Nanoseconds())
+					sim += float64(res.SimWall.Nanoseconds())
+					replay += float64(res.ReplayWall.Nanoseconds())
+					last = res
+				}
+				b.ReportMetric(inspect/float64(b.N)/1e6, "inspect_ms")
+				b.ReportMetric(sim/float64(b.N)/1e6, "sim_ms")
+				b.ReportMetric(replay/float64(b.N)/1e6, "replay_ms")
+				b.ReportMetric(last.Transport.ParallelTime, "makespan")
+				b.ReportMetric(float64(last.Transport.Words), "transportwords")
+			})
+		}
+	}
+}
+
 // BenchmarkSymbolicEvaluator measures the closed-form compile: planfit
 // is the one-time cost of compiling a program and fitting every cost
 // term — nest counts, loop-carried words and scheme-change loads — as

@@ -261,6 +261,7 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64, noP
 	fmt.Printf("  lowered transport: simulated makespan %.0f, %d messages, %d words, largest message %d words\n",
 		tr.ParallelTime, tr.Messages, tr.Words, tr.MaxMsgWords)
 	fmt.Printf("  busiest pair: %d messages, %d words\n", tr.MaxPairMessages, tr.MaxPairWords)
+	fmt.Printf("  phases: %s\n", res.Phases())
 	fmt.Printf("  flops: %d total, %d on the most loaded processor\n", st.Flops, st.MaxFlops())
 	fmt.Printf("  max |diff| vs sequential reference: %.3g\n", matrix.MaxAbsDiff(x, ref))
 	return nil

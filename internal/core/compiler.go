@@ -24,6 +24,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -187,13 +188,18 @@ func (c *Compiler) fanOut(n int, fn func(k int)) error {
 	return nil
 }
 
-// recoverError turns a panic of the calling goroutine into *err. Deferred
-// by fanOut's workers and by every memoized cost computation, so a panic
-// is stored in the cache entry as an error rather than leaving a zero
-// cost behind a completed sync.Once.
+// ErrInternal marks an error recovered from a panic inside the
+// compiler, as opposed to a rejected input; callers tell them apart
+// with errors.Is.
+var ErrInternal = errors.New("core: internal error")
+
+// recoverError turns a panic of the calling goroutine into *err, wrapping
+// ErrInternal. Deferred by fanOut's workers and by every memoized cost
+// computation, so a panic is stored in the cache entry as an error rather
+// than leaving a zero cost behind a completed sync.Once.
 func recoverError(err *error) {
 	if r := recover(); r != nil {
-		*err = fmt.Errorf("core: internal error: %v", r)
+		*err = fmt.Errorf("%w: %v", ErrInternal, r)
 	}
 }
 

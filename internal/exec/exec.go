@@ -57,6 +57,19 @@ type Result struct {
 	// which are identical across engines. The scale sweep reports it as
 	// the engines' like-for-like wall-clock comparison.
 	SimWall time.Duration
+	// InspectWall is the wall-clock time of the inspector (building the
+	// schedule) and ReplayWall that of the naive-model stats replay; with
+	// SimWall they split a run into its three phases. Like SimWall they
+	// vary run to run and stay out of every deterministic output.
+	InspectWall time.Duration
+	ReplayWall  time.Duration
+}
+
+// Phases renders the run's wall-clock split — inspector, machine run,
+// stats replay — for the dmcc/dmrun -exec "phases:" line.
+func (r Result) Phases() string {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	return fmt.Sprintf("inspect %.1f ms, sim %.1f ms, replay %.1f ms", ms(r.InspectWall), ms(r.SimWall), ms(r.ReplayWall))
 }
 
 // Engine selects the runtime that moves the batched transport.
@@ -196,7 +209,9 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 		iters = 1
 	}
 
+	inspectStart := time.Now()
 	sched := buildSchedule(p, ss, bind, !opt.NoPipeline, opt.Redist != RedistP2P)
+	inspectWall := time.Since(inspectStart)
 	nprocs := sched.nprocs
 
 	// Value pass: the batched transport computes every array element.
@@ -251,7 +266,9 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 	// Timing pass: replay the per-element engine's event timeline
 	// single-threadedly. The naive cost model is value-independent, so
 	// this reproduces RunExact's Stats exactly.
+	replayStart := time.Now()
 	stats := sched.replayStats(iters, cfg)
+	replayWall := time.Since(replayStart)
 
 	// Assemble the global state: each element from its first owner.
 	// Ranks are scanned outermost in ascending order and an element is
@@ -279,5 +296,6 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 			}
 		}
 	}
-	return Result{Values: out, Stats: stats, Transport: transport, SimWall: simWall}, nil
+	return Result{Values: out, Stats: stats, Transport: transport,
+		SimWall: simWall, InspectWall: inspectWall, ReplayWall: replayWall}, nil
 }

@@ -41,16 +41,14 @@ type valExec struct {
 	// bufs holds the current epoch's vectored buffer per live source,
 	// with a consumption cursor.
 	bufs map[int]*vbuf
-	// cbuf holds collectively-redistributed operand values keyed by the
-	// origin (first-owner) rank and element: filled by opRedist rounds,
-	// forwarded by tree relays, and read by eval's non-direct slots in
-	// collective mode. Entries are overwritten in place — every epoch
-	// re-ships what its slots read, so a stale value is never visible.
-	cbuf map[int32]map[elemID]machine.Word
-	// env is the reusable loop binding for RHS evaluation.
-	env    map[string]int
-	loadFn func(ir.Ref, []int) float64
-	// current eval context for loadFn.
+	// cbuf holds collectively-redistributed operand values keyed by
+	// element: filled by opRedist rounds, forwarded by tree relays, and
+	// read by eval's non-direct slots in collective mode. An element's
+	// origin is always its first owner, so the element alone is the key.
+	// Entries are overwritten in place — every epoch re-ships what its
+	// slots read, so a stale value is never visible.
+	cbuf map[elemID]machine.Word
+	// current eval context for load.
 	curSlots  []slot
 	curVals   []float64
 	curReduce bool
@@ -81,14 +79,12 @@ func newValExec(s *progSchedule, proc machine.Port, scalars map[string]float64) 
 		has:      make([][]bool, len(s.arrays)),
 		partials: make(map[elemID]float64),
 		bufs:     make(map[int]*vbuf),
-		cbuf:     make(map[int32]map[elemID]machine.Word),
-		env:      bindEnv(s.bind),
+		cbuf:     make(map[elemID]machine.Word),
 		curVals:  make([]float64, 0, 8),
 		rsend:    make(map[int][]machine.Word),
 		rrecv:    make(map[int]*vbuf),
 		rneed:    make(map[int]int),
 	}
-	x.loadFn = x.load
 	return x
 }
 
@@ -227,8 +223,7 @@ func (x *valExec) storeElem(e elemID, v float64) {
 // then received remote slots (matched by element, like the old values
 // map), then the local dense store (zero for never-written elements,
 // matching the old map's default).
-func (x *valExec) load(r ir.Ref, idx []int) float64 {
-	e := x.s.elemOf(r.Array, idx)
+func (x *valExec) load(e elemID) float64 {
 	if x.curReduce && e == x.curAcc {
 		return x.partials[e]
 	}
@@ -247,7 +242,7 @@ func (x *valExec) runNest(ns *nestSchedule) {
 		in := &stream[i]
 		switch in.op {
 		case opFlush:
-			f := in.flush
+			f := ns.flushes[in.aux]
 			for _, snd := range f.sends {
 				x.gather = x.gather[:0]
 				for _, e := range snd.elems {
@@ -267,15 +262,16 @@ func (x *valExec) runNest(ns *nestSchedule) {
 				b.data, b.pos = data, 0
 			}
 		case opRedist:
-			x.runRedist(in.redist)
+			x.runRedist(ns.redists[in.aux])
 		case opSendDirect:
 			x.proc.SendValue(int(in.dst), x.loadElem(in.elem))
 		case opFin:
-			x.finalize(in.fin)
+			x.finalize(ns.fins[in.aux])
 		case opRed:
-			x.reduceBatch(in.red)
+			x.reduceBatch(ns.reds[in.aux])
 		case opEval:
 			x.eval(ns, in)
+		case opNop:
 		}
 	}
 }
@@ -299,9 +295,8 @@ func (x *valExec) runRedist(op *redistOp) {
 						x.gather = append(x.gather, x.loadElem(e))
 					}
 				} else {
-					cb := x.cbuf[seg.origin]
 					for _, e := range seg.elems {
-						w, ok := cb[e]
+						w, ok := x.cbuf[e]
 						if !ok {
 							panic(fmt.Sprintf("exec: collective relay at %d missing element %d of origin %d", x.me, e, seg.origin))
 						}
@@ -316,16 +311,11 @@ func (x *valExec) runRedist(op *redistOp) {
 			data := x.proc.Recv(int(msg.peer))
 			pos := 0
 			for _, seg := range msg.segs {
-				cb := x.cbuf[seg.origin]
-				if cb == nil {
-					cb = make(map[elemID]machine.Word)
-					x.cbuf[seg.origin] = cb
-				}
 				for _, e := range seg.elems {
 					if pos >= len(data) {
 						panic(fmt.Sprintf("exec: collective round from %d short by %d words", msg.peer, pos-len(data)+1))
 					}
-					cb[e] = data[pos]
+					x.cbuf[e] = data[pos]
 					pos++
 				}
 			}
@@ -341,14 +331,15 @@ func (x *valExec) runRedist(op *redistOp) {
 // processor is a receive-only replica of a reduction, evaluates the
 // statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
+	slots := ns.slots[in.slot : in.slot+in.nslot]
 	x.curVals = x.curVals[:0]
-	for _, sl := range in.slots {
+	for _, sl := range slots {
 		var v float64
 		switch {
 		case sl.direct:
 			v = x.proc.RecvValue(int(sl.src))
 		case x.s.collective:
-			w, ok := x.cbuf[sl.src][sl.elem]
+			w, ok := x.cbuf[sl.elem]
 			if !ok {
 				panic(fmt.Sprintf("exec: collective buffer at %d missing element %d of origin %d", x.me, sl.elem, sl.src))
 			}
@@ -366,14 +357,12 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 	if in.role == roleRecvOnly {
 		return
 	}
-	stmt := ns.nest.Stmts[in.stmt]
-	for k := 0; k < len(in.env); k++ {
-		x.env[ns.loopIdx[k]] = int(in.env[k])
-	}
-	x.curSlots = in.slots
+	cs := &ns.stmts[in.stmt]
+	stmt := cs.stmt
+	x.curSlots = slots
 	x.curReduce = in.role == roleReduce
 	x.curAcc = in.elem
-	v := stmt.RHS.Eval(x.env, x.loadFn, x.scalars)
+	v := x.evalExpr(cs.rhs, ns.envs[in.env:in.env+int32(stmt.Depth)])
 	if in.role == roleReduce {
 		x.partials[in.elem] = v
 	} else {
@@ -383,6 +372,39 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 		x.storeElem(in.elem, v)
 	}
 	x.proc.Compute(stmt.Flops)
+}
+
+// evalExpr evaluates a compiled RHS against the instance's loop
+// binding, in ir.Expr.Eval's order (left operand, then right, then the
+// operator), with every array operand resolved by load.
+func (x *valExec) evalExpr(e *cexpr, env []int32) float64 {
+	switch e.kind {
+	case xNum:
+		return e.num
+	case xScalar:
+		v, ok := x.scalars[e.scalar]
+		if !ok {
+			panic(fmt.Sprintf("ir: unbound scalar %q", e.scalar))
+		}
+		return v
+	case xRef:
+		return x.load(x.s.elemAt(&e.ref, env))
+	case xNeg:
+		return -x.evalExpr(e.l, env)
+	}
+	l := x.evalExpr(e.l, env)
+	r := x.evalExpr(e.r, env)
+	switch e.op {
+	case '+':
+		return l + r
+	case '-':
+		return l - r
+	case '*':
+		return l * r
+	case '/':
+		return l / r
+	}
+	panic(fmt.Sprintf("ir: unknown operator %q", e.op))
 }
 
 // finalize mirrors engine.finalize on the batched transport: the

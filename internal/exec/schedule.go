@@ -29,7 +29,11 @@
 // The hot path works on elemID integers (array id + row-major offset);
 // the "arr!i,j" strings survive only at the ir.Storage boundary and in
 // the nest-end finalize ordering, which sorts by the legacy string key
-// to stay byte-identical with RunExact.
+// to stay byte-identical with RunExact. Nothing on it interprets the IR
+// either: every loop bound, subscript and right-hand side of a nest is
+// compiled once (compileNest) into integer forms over loop levels, so
+// the walk and the value pass evaluate against []int32 environments
+// instead of looking names up in map[string]int bindings.
 
 package exec
 
@@ -60,6 +64,190 @@ type arrayMeta struct {
 	size int
 }
 
+// cterm is one loop term of a compiled affine form: k times the index
+// of loop level lvl (0 = outermost).
+type cterm struct {
+	lvl int
+	k   int
+}
+
+// cform is an affine expression compiled against one position of a
+// nest: c + Σ k·env[lvl], with the parameter binding folded into c. A
+// variable binds to the innermost enclosing loop of that name, else to
+// a parameter — the map environment's resolution. A variable that is
+// neither sets unbound, and evaluating the form panics with
+// ir.Affine.Eval's text; compiling never panics, so a position that is
+// never reached behaves as it did under the map environment.
+type cform struct {
+	c       int
+	terms   []cterm
+	unbound string
+	src     ir.Affine
+}
+
+// compileAffine compiles a under the enclosing loop indices scope
+// (outermost first) and the parameter binding bind.
+func compileAffine(a ir.Affine, scope []string, bind map[string]int) cform {
+	f := cform{c: a.Const, src: a}
+	for _, v := range a.Vars() {
+		k := a.Coeff[v]
+		lvl := -1
+		for l := len(scope) - 1; l >= 0; l-- {
+			if scope[l] == v {
+				lvl = l
+				break
+			}
+		}
+		if lvl >= 0 {
+			f.terms = append(f.terms, cterm{lvl: lvl, k: k})
+		} else if val, ok := bind[v]; ok {
+			f.c += k * val
+		} else if f.unbound == "" {
+			f.unbound = v
+		}
+	}
+	return f
+}
+
+func (f *cform) eval(env []int32) int {
+	if f.unbound != "" {
+		panic(fmt.Sprintf("ir: unbound variable %q in %s", f.unbound, f.src))
+	}
+	v := f.c
+	for _, t := range f.terms {
+		v += t.k * int(env[t.lvl])
+	}
+	return v
+}
+
+// cref is an array reference compiled against one statement: the array
+// id is resolved once, the subscripts are cforms. fast is false for an
+// undeclared array or a subscript count other than the rank; such a
+// reference takes elemOf's checking path at evaluation time.
+type cref struct {
+	arr  int
+	fast bool
+	name string
+	subs []cform
+}
+
+func (s *progSchedule) compileRef(r ir.Ref, scope []string) cref {
+	c := cref{name: r.Array, subs: make([]cform, len(r.Subs))}
+	if a, ok := s.aid[r.Array]; ok {
+		c.arr = a
+		c.fast = len(r.Subs) == len(s.arrays[a].ext)
+	}
+	for d, su := range r.Subs {
+		c.subs[d] = compileAffine(su, scope, s.bind)
+	}
+	return c
+}
+
+// elemAt evaluates a compiled reference to its element id. Off the fast
+// path — an undeclared array, a rank mismatch or a subscript outside
+// the extents — it evaluates every subscript and defers to elemOf, so
+// the panics and their order are elemOf's.
+func (s *progSchedule) elemAt(r *cref, env []int32) elemID {
+	if r.fast {
+		ext := s.arrays[r.arr].ext
+		off := 0
+		for d := range r.subs {
+			v := r.subs[d].eval(env)
+			if v < 1 || v > ext[d] {
+				break
+			}
+			off = off*ext[d] + (v - 1)
+			if d == len(r.subs)-1 {
+				return mkElem(r.arr, off)
+			}
+		}
+	}
+	idx := make([]int, len(r.subs))
+	for d := range r.subs {
+		idx[d] = r.subs[d].eval(env)
+	}
+	return s.elemOf(r.name, idx)
+}
+
+// cexpr is a statement's right-hand side compiled over cforms: the
+// ir.Expr tree with every RefE resolved to a cref.
+type cexpr struct {
+	kind   uint8
+	op     byte // xBin: the ir.BinOp operator
+	num    float64
+	scalar string
+	ref    cref
+	l, r   *cexpr
+}
+
+const (
+	xNum uint8 = iota
+	xScalar
+	xRef
+	xNeg
+	xBin
+)
+
+// compileExpr compiles an RHS tree. A nil RHS assigns 0, as in
+// ir.EvalProgram.
+func (s *progSchedule) compileExpr(e ir.Expr, scope []string) *cexpr {
+	switch v := e.(type) {
+	case nil:
+		return &cexpr{kind: xNum}
+	case ir.Num:
+		return &cexpr{kind: xNum, num: float64(v)}
+	case ir.Scalar:
+		return &cexpr{kind: xScalar, scalar: string(v)}
+	case ir.RefE:
+		return &cexpr{kind: xRef, ref: s.compileRef(v.Ref, scope)}
+	case ir.NegE:
+		return &cexpr{kind: xNeg, l: s.compileExpr(v.E, scope)}
+	case ir.BinOp:
+		return &cexpr{kind: xBin, op: v.Op, l: s.compileExpr(v.L, scope), r: s.compileExpr(v.R, scope)}
+	}
+	panic(fmt.Sprintf("exec: unsupported expression %T", e))
+}
+
+// cstmt is one statement compiled against its enclosing loops.
+type cstmt struct {
+	stmt  *ir.Stmt
+	lhs   cref
+	reads []cref
+	rhs   *cexpr
+}
+
+// compileNest compiles a nest's loop bounds (each against the loops
+// enclosing it) and statements (against their Depth enclosing loops),
+// and sorts the statements by the level they run at: pre[l] before the
+// level-l loop, post[l] after it (ir.Nest.IsPost, decided once here
+// instead of per level visit).
+func (s *progSchedule) compileNest(ns *nestSchedule) {
+	nest := ns.nest
+	idx := nest.LoopIndices()
+	nl := len(nest.Loops)
+	ns.lo, ns.hi = make([]cform, nl), make([]cform, nl)
+	for l, lp := range nest.Loops {
+		ns.lo[l] = compileAffine(lp.Lo, idx[:l], s.bind)
+		ns.hi[l] = compileAffine(lp.Hi, idx[:l], s.bind)
+	}
+	ns.pre, ns.post = make([][]int, nl+1), make([][]int, nl+1)
+	ns.stmts = make([]cstmt, len(nest.Stmts))
+	for si, st := range nest.Stmts {
+		scope := idx[:st.Depth]
+		cs := cstmt{stmt: st, lhs: s.compileRef(st.LHS, scope), reads: make([]cref, len(st.Reads)),
+			rhs: s.compileExpr(st.RHS, scope)}
+		for ri, rd := range st.Reads {
+			cs.reads[ri] = s.compileRef(rd, scope)
+		}
+		ns.stmts[si] = cs
+		if nest.IsPost(st) {
+			ns.post[st.Depth] = append(ns.post[st.Depth], si)
+		} else {
+			ns.pre[st.Depth] = append(ns.pre[st.Depth], si)
+		}
+	}
+}
+
 // progSchedule is the complete precomputed schedule of one Run call.
 type progSchedule struct {
 	p      *ir.Program
@@ -68,10 +256,19 @@ type progSchedule struct {
 	nprocs int
 	arrays []arrayMeta
 	aid    map[string]int
-	// ocache memoizes dist.Scheme.Owners per element: the per-element
+	// owners memoizes dist.Scheme.Owners per element in a dense table
+	// per array (nil until the array is first asked): the per-element
 	// engine recomputed it for every (instance, read, executor) visit.
-	ocache map[elemID][]int
-	nests  []*nestSchedule
+	owners [][][]int
+	// Per-element write state in dense tables per array: wstamp holds
+	// the epoch of the element's last write (compared against epoch, so
+	// an epoch cut resets the written set in O(1)); wgen counts its
+	// writes, which invalidates the collective dedup's buffered copies.
+	wstamp [][]uint32
+	wgen   [][]uint32
+	// epoch numbers the epochs of the whole schedule from 1.
+	epoch uint32
+	nests []*nestSchedule
 	// pipeline enables the vectored two-phase / ring finalize lowering;
 	// when false every finalize stays a per-element star (the PR 3
 	// transport), which is what the -pipeline=false knob compares
@@ -91,19 +288,21 @@ type progSchedule struct {
 	// program body repeats each outer iteration) from each site to the
 	// element's next write and keeps only the owners that actually read
 	// the total in between.
-	redArrs map[int]bool
-	seq     int
-	acc     map[elemID][]accEvent
-	sites   []finSite
+	redArrs   map[int]bool
+	seq       int
+	acc       map[elemID][]accEvent
+	readerBuf []int
+	sites     []finSite
 }
 
 // accEvent is one liveness event of a reduction-accumulator element:
 // either a write (finalize or plain overwrite) or a local read by the
 // listed ranks.
 type accEvent struct {
-	seq     int
-	write   bool
-	readers []int
+	seq   int
+	write bool
+	// readers are readerBuf[rd : rd+nrd].
+	rd, nrd int
 }
 
 // finSite is one finalize's position in the liveness sequence.
@@ -115,7 +314,8 @@ type finSite struct {
 
 func (s *progSchedule) noteRead(e elemID, readers []int) {
 	s.seq++
-	s.acc[e] = append(s.acc[e], accEvent{seq: s.seq, readers: append([]int(nil), readers...)})
+	s.acc[e] = append(s.acc[e], accEvent{seq: s.seq, rd: len(s.readerBuf), nrd: len(readers)})
+	s.readerBuf = append(s.readerBuf, readers...)
 }
 
 func (s *progSchedule) noteWrite(e elemID) {
@@ -152,7 +352,7 @@ func (s *progSchedule) computeFanouts() {
 			if ev.write {
 				break
 			}
-			for _, r := range ev.readers {
+			for _, r := range s.readerBuf[ev.rd : ev.rd+ev.nrd] {
 				live[r] = true
 			}
 		}
@@ -168,8 +368,19 @@ func (s *progSchedule) computeFanouts() {
 // every outer iteration (the binding, and hence the walk, is identical
 // across iterations).
 type nestSchedule struct {
-	nest    *ir.Nest
-	loopIdx []string
+	nest *ir.Nest
+	// The compiled nest (compileNest): loop bounds per level, statements,
+	// and statement indices by the level they run at.
+	lo, hi    []cform
+	stmts     []cstmt
+	pre, post [][]int
+	// Tables the pointer-free instructions index into.
+	envs    []int32
+	slots   []slot
+	flushes []*flushOp
+	fins    []*finOp
+	reds    []*redOp
+	redists []*redistOp
 	// timeline is the per-element engine's global event order.
 	timeline []top
 	// procs[r] is processor r's value-pass instruction stream.
@@ -189,24 +400,27 @@ const (
 )
 
 // pinstr is one value-pass instruction of one processor.
+// It holds no pointers: its lists live in the nest's tables (the loop
+// binding in envs, the operand slots in slots, the exchange in the
+// table its op names), which keeps the streams out of the GC's scan.
 type pinstr struct {
-	op     uint8
-	role   uint8
-	stmt   int32
-	dst    int32 // opSendDirect: receiver rank
-	elem   elemID
-	env    []int32
-	slots  []slot
-	flush  *flushOp
-	fin    *finOp
-	red    *redOp
-	redist *redistOp
+	op   uint8
+	role uint8
+	stmt int32 // opEval: statement index
+	dst  int32 // opSendDirect: receiver rank
+	aux  int32 // opFlush/opFin/opRed/opRedist: index in the op's table
+	// opEval: the Depth loop values at envs[env:], and the nslot
+	// operand slots at slots[slot:].
+	env, slot, nslot int32
+	elem             elemID
 }
 
 const (
+	// opNop is an epoch-head placeholder that no exchange claimed.
+	opNop uint8 = iota
 	// opFlush exchanges the epoch's vectored messages (sends first,
 	// then receives).
-	opFlush uint8 = iota
+	opFlush
 	// opSendDirect ships one element that was finalized earlier in the
 	// same epoch, so its value postdates the epoch-boundary gather.
 	opSendDirect
@@ -232,8 +446,8 @@ const (
 // slot is one remote operand of an eval: either the next word of the
 // vectored buffer from src, or (direct) a dedicated one-word message.
 type slot struct {
-	src    int32
 	elem   elemID
+	src    int32
 	direct bool
 }
 
@@ -358,7 +572,6 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, pipel
 		p: p, ss: ss, bind: bind,
 		nprocs:     ss.Grid.Size(),
 		aid:        make(map[string]int, len(p.Arrays)),
-		ocache:     make(map[elemID][]int),
 		pipeline:   pipeline,
 		collective: collective,
 		redArrs:    make(map[int]bool),
@@ -369,17 +582,19 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, pipel
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	env := bindEnv(bind)
 	for _, name := range names {
 		arr := p.Arrays[name]
 		am := arrayMeta{name: name, ext: make([]int, arr.Rank()), size: 1}
 		for d, e := range arr.Extents {
-			am.ext[d] = e.Eval(env)
+			am.ext[d] = e.Eval(bind)
 			am.size *= am.ext[d]
 		}
 		s.aid[name] = len(s.arrays)
 		s.arrays = append(s.arrays, am)
 	}
+	s.owners = make([][][]int, len(s.arrays))
+	s.wstamp = make([][]uint32, len(s.arrays))
+	s.wgen = make([][]uint32, len(s.arrays))
 	for _, nest := range p.Nests {
 		for _, st := range nest.Stmts {
 			if st.Reduce {
@@ -395,14 +610,6 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, pipel
 		s.computeFanouts()
 	}
 	return s
-}
-
-func bindEnv(bind map[string]int) map[string]int {
-	env := make(map[string]int, len(bind)+4)
-	for k, v := range bind {
-		env[k] = v
-	}
-	return env
 }
 
 // elemOf maps a subscripted reference to its element id, with the
@@ -425,8 +632,8 @@ func (s *progSchedule) elemOf(name string, idx []int) elemID {
 	return mkElem(a, off)
 }
 
-// decode is elemOf's inverse, used only at the ir.Storage boundary and
-// for the nest-end finalize ordering.
+// decode is elemOf's inverse, used at the ir.Storage boundary, for the
+// nest-end finalize ordering and for first-time owner lookups.
 func (s *progSchedule) decode(e elemID) (string, []int) {
 	am := &s.arrays[e.arr()]
 	idx := make([]int, len(am.ext))
@@ -439,59 +646,99 @@ func (s *progSchedule) decode(e elemID) (string, []int) {
 }
 
 // ownersOf memoizes the owner set of an element.
-func (s *progSchedule) ownersOf(e elemID, name string, idx []int) []int {
-	if o, ok := s.ocache[e]; ok {
+func (s *progSchedule) ownersOf(e elemID) []int {
+	a := e.arr()
+	t := s.owners[a]
+	if t == nil {
+		t = make([][]int, s.arrays[a].size)
+		s.owners[a] = t
+	}
+	if o := t[e.off()]; o != nil {
 		return o
 	}
+	name, idx := s.decode(e)
 	o := s.ss.Schemes[name].Owners(s.ss.Grid, idx...)
-	s.ocache[e] = o
+	t[e.off()] = o
 	return o
+}
+
+// written reports whether e was written earlier in the current epoch.
+func (s *progSchedule) written(e elemID) bool {
+	t := s.wstamp[e.arr()]
+	return t != nil && t[e.off()] == s.epoch
+}
+
+// writes returns how many times e has been written so far.
+func (s *progSchedule) writes(e elemID) uint32 {
+	if t := s.wgen[e.arr()]; t != nil {
+		return t[e.off()]
+	}
+	return 0
+}
+
+// noteWritten marks e written in the current epoch and invalidates the
+// collective dedup's buffered copies of it, materializing the array's
+// write tables on first use.
+func (s *progSchedule) noteWritten(e elemID) {
+	a := e.arr()
+	if s.wstamp[a] == nil {
+		s.wstamp[a] = make([]uint32, s.arrays[a].size)
+		s.wgen[a] = make([]uint32, s.arrays[a].size)
+	}
+	s.wstamp[a][e.off()] = s.epoch
+	s.wgen[a][e.off()]++
 }
 
 // nestBuilder is the inspector's per-nest state.
 type nestBuilder struct {
 	s  *progSchedule
 	ns *nestSchedule
-	// env is the inspector's loop binding, maintained exactly like the
-	// per-element engine's.
-	env map[string]int
+	// env is the inspector's loop binding, one slot per loop level.
+	env []int32
 	// pending maps a reduction accumulator to its sorted contributor
 	// ranks, mirroring engine.pending (globally, not per processor).
 	pending map[elemID][]int
-	pendIdx map[elemID][]int
-	// written marks elements written earlier in the current epoch; a
-	// batched ship of such an element would gather a stale value at the
-	// epoch boundary, so it either cuts the epoch (write from an
-	// earlier instance) or degrades to a direct send (write by this
-	// instance's own finalizes, which no cut can hoist past).
-	written map[elemID]bool
-	// cur accumulates the current epoch's per-processor instructions;
-	// pairs the epoch's per-pair vectored element lists.
-	cur   [][]pinstr
-	pairs map[int64][]elemID
-	// seen dedups batched ships in collective mode: seen[e][pair] marks
-	// that the pair's destination holds a live buffered copy of e, so a
-	// repeat ship would carry the same value and one copy suffices. A
-	// write of e invalidates its entry (the buffered copies go stale),
-	// which makes the dedup window every ship since the element's last
-	// write — spanning epoch cuts, not reset by them: the surviving
-	// ship's value is gathered at its own epoch boundary, before any
-	// write that could invalidate it. The timeline still records every
-	// ship — the naive model prices them all — and eval slots still
-	// reference every operand; they resolve by (origin, element)
-	// against the buffered copy.
-	seen map[elemID]map[int64]bool
+	// Elements written earlier in the current epoch (s.written) are
+	// never batch-shipped: a batched ship of such an element would
+	// gather a stale value at the epoch boundary, so it either cuts the
+	// epoch (write from an earlier instance) or degrades to a direct send
+	// (write by this instance's own finalizes, which no cut can hoist
+	// past).
+	//
+	// pairs accumulates the current epoch's per-pair vectored element
+	// lists. Each processor's instructions of the epoch follow one head
+	// slot in its stream (head[p], valid while headEp[p] == s.epoch),
+	// which closeEpoch fills with the epoch's exchange; a head no
+	// exchange claims stays an opNop.
+	pairs  map[int64][]elemID
+	head   []int
+	headEp []uint32
+	// seen dedups batched ships in collective mode: seen[{e, pair}]
+	// holds e's write count when the pair's destination got a buffered
+	// copy of e, so a repeat ship would carry the same value and one copy
+	// suffices while the count is unchanged. A write of e bumps its count
+	// (the buffered copies go stale), which makes the dedup window every
+	// ship since the element's last write — spanning epoch cuts, not
+	// reset by them: the surviving ship's value is gathered at its own
+	// epoch boundary, before any write that could invalidate it. The
+	// timeline still records every ship — the naive model prices them
+	// all — and eval slots still reference every operand; they resolve
+	// by element against the buffered copy.
+	seen map[seenKey]uint32
 	// scratch
-	lhsIdx  []int
-	readIdx [][]int
-	ships   []shipT
-	exSlots [][]slot
-	forced  []elemID
-	readers []int
+	readElem []elemID
+	ships    []shipT
+	exSlots  [][]slot
+	forced   []elemID
+	readers  []int
+}
+
+type seenKey struct {
+	e    elemID
+	pair int64
 }
 
 type shipT struct {
-	ri  int
 	src int32
 	ex  int32
 	e   elemID
@@ -501,47 +748,43 @@ func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 
 func (s *progSchedule) buildNest(nest *ir.Nest) *nestSchedule {
 	ns := &nestSchedule{
-		nest:    nest,
-		loopIdx: nest.LoopIndices(),
-		procs:   make([][]pinstr, s.nprocs),
+		nest:  nest,
+		procs: make([][]pinstr, s.nprocs),
 	}
+	s.compileNest(ns)
+	// A fresh epoch; the first one is 1, so the zeroed write stamps and
+	// head epochs never read as current.
+	s.epoch++
 	b := &nestBuilder{
 		s: s, ns: ns,
-		env:     bindEnv(s.bind),
+		env:     make([]int32, len(nest.Loops)),
 		pending: make(map[elemID][]int),
-		pendIdx: make(map[elemID][]int),
-		written: make(map[elemID]bool),
-		cur:     make([][]pinstr, s.nprocs),
 		pairs:   make(map[int64][]elemID),
-		seen:    make(map[elemID]map[int64]bool),
+		head:    make([]int, s.nprocs),
+		headEp:  make([]uint32, s.nprocs),
+		seen:    make(map[seenKey]uint32),
 	}
 	var walk func(level int)
 	walk = func(level int) {
-		for si, stmt := range nest.Stmts {
-			if stmt.Depth == level && !nest.IsPost(stmt) {
-				b.instance(si, stmt)
-			}
+		for _, si := range ns.pre[level] {
+			b.instance(si)
 		}
 		if level < len(nest.Loops) {
-			l := nest.Loops[level]
-			lo, hi := l.Lo.Eval(b.env), l.Hi.Eval(b.env)
-			if l.Step >= 0 {
+			lo, hi := ns.lo[level].eval(b.env), ns.hi[level].eval(b.env)
+			if nest.Loops[level].Step >= 0 {
 				for v := lo; v <= hi; v++ {
-					b.env[l.Index] = v
+					b.env[level] = int32(v)
 					walk(level + 1)
 				}
 			} else {
 				for v := lo; v >= hi; v-- {
-					b.env[l.Index] = v
+					b.env[level] = int32(v)
 					walk(level + 1)
 				}
 			}
-			delete(b.env, l.Index)
 		}
-		for si, stmt := range nest.Stmts {
-			if stmt.Depth == level && nest.IsPost(stmt) {
-				b.instance(si, stmt)
-			}
+		for _, si := range ns.post[level] {
+			b.instance(si)
 		}
 	}
 	walk(0)
@@ -569,53 +812,88 @@ func (s *progSchedule) buildNest(nest *ir.Nest) *nestSchedule {
 	return ns
 }
 
+// emit appends one instruction to processor p's stream, opening p's
+// epoch head slot first if this is p's first instruction of the epoch.
+func (b *nestBuilder) emit(p int, in pinstr) {
+	if b.headEp[p] != b.s.epoch {
+		b.headEp[p] = b.s.epoch
+		b.head[p] = len(b.ns.procs[p])
+		b.ns.procs[p] = append(b.ns.procs[p], pinstr{op: opNop})
+	}
+	b.ns.procs[p] = append(b.ns.procs[p], in)
+}
+
+// envOf records the current binding of the depth enclosing loops in
+// the nest's env table and returns its offset.
+func (b *nestBuilder) envOf(depth int) int32 {
+	off := int32(len(b.ns.envs))
+	b.ns.envs = append(b.ns.envs, b.env[:depth]...)
+	return off
+}
+
+// evalInstr builds an opEval instruction whose operand slots are
+// copied into the nest's slot table.
+func (b *nestBuilder) evalInstr(role uint8, si int, e elemID, slots []slot) pinstr {
+	in := pinstr{op: opEval, role: role, stmt: int32(si), elem: e,
+		slot: int32(len(b.ns.slots)), nslot: int32(len(slots))}
+	b.ns.slots = append(b.ns.slots, slots...)
+	return in
+}
+
+// setHead installs processor p's epoch exchange ahead of its epoch
+// instructions: in the head slot, or appended when p has none.
+func (b *nestBuilder) setHead(p int32, in pinstr) {
+	if b.headEp[p] == b.s.epoch {
+		b.ns.procs[p][b.head[p]] = in
+		return
+	}
+	b.ns.procs[p] = append(b.ns.procs[p], in)
+}
+
 // instance inspects one dynamic statement instance, appending its
 // events to the timeline and its work to the per-processor streams.
 // The decomposition (forced finalizes, executor set, ship list,
 // pending bookkeeping, evaluation) replicates engine.instance exactly.
-func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
+func (b *nestBuilder) instance(si int) {
 	s := b.s
+	cs := &b.ns.stmts[si]
+	stmt := cs.stmt
 
 	// Resolve the written element and the read elements.
-	b.lhsIdx = evalSubs(b.lhsIdx[:0], stmt.LHS.Subs, b.env)
-	lhsElem := s.elemOf(stmt.LHS.Array, b.lhsIdx)
-	for len(b.readIdx) < len(stmt.Reads) {
-		b.readIdx = append(b.readIdx, nil)
+	lhsElem := s.elemAt(&cs.lhs, b.env)
+	b.readElem = b.readElem[:0]
+	for ri := range cs.reads {
+		b.readElem = append(b.readElem, s.elemAt(&cs.reads[ri], b.env))
 	}
-	readElem := make([]elemID, len(stmt.Reads))
-	for ri, rd := range stmt.Reads {
-		b.readIdx[ri] = evalSubs(b.readIdx[ri][:0], rd.Subs, b.env)
-		readElem[ri] = s.elemOf(rd.Array, b.readIdx[ri])
-	}
+	readElem := b.readElem
 
 	// Executor set: anchor owners for reductions, LHS owners otherwise.
 	var executors []int
 	if stmt.Reduce {
 		if anchor := anchorOf(stmt); anchor >= 0 {
-			executors = s.ownersOf(readElem[anchor], stmt.Reads[anchor].Array, b.readIdx[anchor])
+			executors = s.ownersOf(readElem[anchor])
 		} else {
-			executors = s.ownersOf(lhsElem, stmt.LHS.Array, b.lhsIdx)
+			executors = s.ownersOf(lhsElem)
 		}
 	} else {
-		executors = s.ownersOf(lhsElem, stmt.LHS.Array, b.lhsIdx)
+		executors = s.ownersOf(lhsElem)
 	}
 
 	// Ship list: one word from the element's first owner to every
 	// executor that lacks it. (The reduce accumulator is never shipped;
 	// executors that own the element read their local copy.)
 	b.ships = b.ships[:0]
-	for ri, rd := range stmt.Reads {
-		e := readElem[ri]
+	for _, e := range readElem {
 		if stmt.Reduce && e == lhsElem {
 			continue
 		}
-		owners := s.ownersOf(e, rd.Array, b.readIdx[ri])
+		owners := s.ownersOf(e)
 		src := owners[0]
 		for _, ex := range executors {
 			if contains(owners, ex) {
 				continue
 			}
-			b.ships = append(b.ships, shipT{ri: ri, src: int32(src), ex: int32(ex), e: e})
+			b.ships = append(b.ships, shipT{src: int32(src), ex: int32(ex), e: e})
 		}
 	}
 
@@ -623,7 +901,7 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// this epoch would be gathered stale at the epoch boundary, so the
 	// boundary moves here, before this whole instance.
 	for _, sh := range b.ships {
-		if b.written[sh.e] {
+		if s.written(sh.e) {
 			b.closeEpoch()
 			break
 		}
@@ -636,8 +914,7 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// set (pipeline mode folds them into one vectored exchange; the
 	// classification of ISSUE 5's inspector).
 	b.forced = b.forced[:0]
-	for ri := range stmt.Reads {
-		e := readElem[ri]
+	for _, e := range readElem {
 		if stmt.Reduce && e == lhsElem {
 			continue
 		}
@@ -653,13 +930,12 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// Liveness events for fan-out pruning: local reads of
 	// reduction-accumulator elements (reads satisfied by ships are the
 	// root's job, not the reader's copy), and overwrites.
-	if b.s.pipeline {
-		for ri, rd := range stmt.Reads {
-			e := readElem[ri]
-			if !b.s.redArrs[e.arr()] || (stmt.Reduce && e == lhsElem) {
+	if s.pipeline {
+		for _, e := range readElem {
+			if !s.redArrs[e.arr()] || (stmt.Reduce && e == lhsElem) {
 				continue
 			}
-			owners := b.s.ownersOf(e, rd.Array, b.readIdx[ri])
+			owners := s.ownersOf(e)
 			b.readers = b.readers[:0]
 			if stmt.Reduce {
 				// Only the contributor evaluates; replicas just drain
@@ -675,11 +951,11 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 				}
 			}
 			if len(b.readers) > 0 {
-				b.s.noteRead(e, b.readers)
+				s.noteRead(e, b.readers)
 			}
 		}
-		if !stmt.Reduce && b.s.redArrs[lhsElem.arr()] {
-			b.s.noteWrite(lhsElem)
+		if !stmt.Reduce && s.redArrs[lhsElem.arr()] {
+			s.noteWrite(lhsElem)
 		}
 	}
 
@@ -695,31 +971,22 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	for _, sh := range b.ships {
 		b.ns.timeline = append(b.ns.timeline, top{kind: tXfer, a: sh.src, b: sh.ex})
 		xi := indexOf(executors, int(sh.ex))
-		if b.written[sh.e] {
-			b.cur[sh.src] = append(b.cur[sh.src], pinstr{op: opSendDirect, dst: sh.ex, elem: sh.e})
+		if s.written(sh.e) {
+			b.emit(int(sh.src), pinstr{op: opSendDirect, dst: sh.ex, elem: sh.e})
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e, direct: true})
-		} else {
-			k := pairKey(sh.src, sh.ex)
-			if b.s.collective {
-				m := b.seen[sh.e]
-				if m == nil {
-					m = make(map[int64]bool)
-					b.seen[sh.e] = m
-				}
-				if !m[k] {
-					m[k] = true
-					b.pairs[k] = append(b.pairs[k], sh.e)
-				}
-			} else {
+			continue
+		}
+		k := pairKey(sh.src, sh.ex)
+		if s.collective {
+			sk, gen := seenKey{sh.e, k}, s.writes(sh.e)
+			if g, ok := b.seen[sk]; !ok || g != gen {
+				b.seen[sk] = gen
 				b.pairs[k] = append(b.pairs[k], sh.e)
 			}
-			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e})
+		} else {
+			b.pairs[k] = append(b.pairs[k], sh.e)
 		}
-	}
-
-	env := make([]int32, stmt.Depth)
-	for k := 0; k < stmt.Depth; k++ {
-		env[k] = int32(b.env[b.ns.loopIdx[k]])
+		b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e})
 	}
 
 	if stmt.Reduce {
@@ -730,33 +997,28 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 		list := b.pending[lhsElem]
 		if len(list) == 0 || !contains(list, contrib) {
 			b.pending[lhsElem] = insertSorted(list, contrib)
-			b.pendIdx[lhsElem] = append([]int(nil), b.lhsIdx...)
 		}
 		for xi, ex := range executors {
 			if ex == contrib {
-				b.cur[ex] = append(b.cur[ex], pinstr{
-					op: opEval, role: roleReduce, stmt: int32(si), elem: lhsElem,
-					env: env, slots: copySlots(b.exSlots[xi]),
-				})
+				in := b.evalInstr(roleReduce, si, lhsElem, b.exSlots[xi])
+				in.env = b.envOf(stmt.Depth)
+				b.emit(ex, in)
 			} else if len(b.exSlots[xi]) > 0 {
-				b.cur[ex] = append(b.cur[ex], pinstr{
-					op: opEval, role: roleRecvOnly, slots: copySlots(b.exSlots[xi]),
-				})
+				b.emit(ex, b.evalInstr(roleRecvOnly, si, lhsElem, b.exSlots[xi]))
 			}
 		}
 		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(contrib), b: int32(stmt.Flops)})
 		return
 	}
 
+	env := b.envOf(stmt.Depth)
 	for xi, ex := range executors {
-		b.cur[ex] = append(b.cur[ex], pinstr{
-			op: opEval, role: roleWrite, stmt: int32(si), elem: lhsElem,
-			env: env, slots: copySlots(b.exSlots[xi]),
-		})
+		in := b.evalInstr(roleWrite, si, lhsElem, b.exSlots[xi])
+		in.env = env
+		b.emit(ex, in)
 		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(ex), b: int32(stmt.Flops)})
 	}
-	b.written[lhsElem] = true
-	delete(b.seen, lhsElem)
+	s.noteWritten(lhsElem)
 }
 
 // recordFinalize pops a pending reduction and records everything the
@@ -768,11 +1030,8 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 // RunExact no matter how the value pass actually moves the partials.
 func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	contribs := b.pending[e]
-	idx := b.pendIdx[e]
 	delete(b.pending, e)
-	delete(b.pendIdx, e)
-	name, _ := b.s.decode(e)
-	owners := b.s.ownersOf(e, name, idx)
+	owners := b.s.ownersOf(e)
 	root := owners[0]
 
 	for _, c := range contribs {
@@ -791,8 +1050,7 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	if b.s.pipeline {
 		b.s.noteFinalize(e, f)
 	}
-	b.written[e] = true
-	delete(b.seen, e)
+	b.s.noteWritten(e)
 	return f
 }
 
@@ -801,16 +1059,17 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 // total fans out to every other owner.
 func (b *nestBuilder) emitFinalize(e elemID) {
 	f := b.recordFinalize(e)
-	in := pinstr{op: opFin, fin: f}
-	b.cur[f.root] = append(b.cur[f.root], in)
+	in := pinstr{op: opFin, aux: int32(len(b.ns.fins))}
+	b.ns.fins = append(b.ns.fins, f)
+	b.emit(f.root, in)
 	for _, c := range f.contribs {
 		if c != f.root {
-			b.cur[c] = append(b.cur[c], in)
+			b.emit(c, in)
 		}
 	}
 	for _, o := range f.owners {
 		if o != f.root && !contains(f.contribs, o) {
-			b.cur[o] = append(b.cur[o], in)
+			b.emit(o, in)
 		}
 	}
 }
@@ -851,9 +1110,10 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 			}
 		}
 	}
-	in := pinstr{op: opRed, red: r}
+	in := pinstr{op: opRed, aux: int32(len(b.ns.reds))}
+	b.ns.reds = append(b.ns.reds, r)
 	for _, p := range parts {
-		b.cur[p] = append(b.cur[p], in)
+		b.emit(p, in)
 	}
 }
 
@@ -868,8 +1128,8 @@ func containsElem(xs []elemID, v elemID) bool {
 
 // closeEpoch freezes the current epoch: the accumulated pair traffic
 // is lowered to its transport (the point-to-point vectored flush, or
-// the composed collective redistribution) and prepended to the epoch
-// instructions, and the written set resets.
+// the composed collective redistribution) and installed in the epoch
+// head slots, and the written set resets (a new epoch stamp).
 func (b *nestBuilder) closeEpoch() {
 	if len(b.pairs) > 0 {
 		if b.s.collective {
@@ -877,15 +1137,9 @@ func (b *nestBuilder) closeEpoch() {
 		} else {
 			b.lowerPairFlush()
 		}
-		b.pairs = make(map[int64][]elemID)
+		clear(b.pairs)
 	}
-	for p := range b.cur {
-		b.ns.procs[p] = append(b.ns.procs[p], b.cur[p]...)
-		b.cur[p] = nil
-	}
-	for e := range b.written {
-		delete(b.written, e)
-	}
+	b.s.epoch++
 }
 
 // lowerPairFlush is the point-to-point lowering: every processor's
@@ -928,7 +1182,8 @@ func (b *nestBuilder) lowerPairFlush() {
 		get(dst).recvs = append(get(dst).recvs, flushRecv{src: src, n: len(b.pairs[k])})
 	}
 	for p, f := range flushes {
-		b.cur[p] = append([]pinstr{{op: opFlush, flush: f}}, b.cur[p]...)
+		b.setHead(p, pinstr{op: opFlush, aux: int32(len(b.ns.flushes))})
+		b.ns.flushes = append(b.ns.flushes, f)
 	}
 }
 
@@ -1088,7 +1343,8 @@ func (b *nestBuilder) lowerCollective() {
 		}
 	}
 	for p, op := range ops {
-		b.cur[p] = append([]pinstr{{op: opRedist, redist: op}}, b.cur[p]...)
+		b.setHead(p, pinstr{op: opRedist, aux: int32(len(b.ns.redists))})
+		b.ns.redists = append(b.ns.redists, op)
 	}
 }
 
@@ -1152,20 +1408,6 @@ func (s *progSchedule) replayStats(iters int, cfg machine.Config) machine.Stats 
 		st.AddProc(st.PerProc[r])
 	}
 	return st
-}
-
-func evalSubs(dst []int, subs []ir.Affine, env map[string]int) []int {
-	for _, su := range subs {
-		dst = append(dst, su.Eval(env))
-	}
-	return dst
-}
-
-func copySlots(s []slot) []slot {
-	if len(s) == 0 {
-		return nil
-	}
-	return append([]slot(nil), s...)
 }
 
 func indexOf(xs []int, v int) int {

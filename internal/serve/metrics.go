@@ -124,9 +124,13 @@ type ServerSnapshot struct {
 	// re-pricings — the sub-microsecond path that never runs the DP.
 	Compiles    int64 `json:"compiles"`
 	CompileHits int64 `json:"compile_hits"`
-	PlanThaws   int64 `json:"plan_thaws"`
-	CostEvals   int64 `json:"cost_evals"`
-	PlansLive   int   `json:"plans_live"`
+	// CompilePanics counts POST /compile requests whose compile panicked
+	// (core.ErrInternal): still answered 422, but a compiler bug rather
+	// than a bad input.
+	CompilePanics int64 `json:"compile_panics"`
+	PlanThaws     int64 `json:"plan_thaws"`
+	CostEvals     int64 `json:"cost_evals"`
+	PlansLive     int   `json:"plans_live"`
 	// PrewarmedPlans counts evaluators registered from a peer's frozen
 	// plans at startup — live before the first request ever arrives.
 	PrewarmedPlans int64 `json:"prewarmed_plans"`

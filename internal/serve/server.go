@@ -91,6 +91,11 @@ type Server struct {
 
 	mu    sync.Mutex
 	plans map[string]*planEntry // plan id -> entry
+
+	// compilePanics counts POST /compile requests whose compile panicked
+	// (core.ErrInternal). It sits apart from the counters above so the
+	// ones every GET /cost updates keep their place in the struct.
+	compilePanics atomic.Int64
 }
 
 // New returns a Server over the store in cfg.
@@ -317,6 +322,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if b.err != nil {
+		if errors.Is(b.err, core.ErrInternal) {
+			s.compilePanics.Add(1)
+		}
 		httpError(w, http.StatusUnprocessableEntity, "compile: %v", b.err)
 		return
 	}
@@ -527,6 +535,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Server: ServerSnapshot{
 			Compiles:       s.compiles.Load(),
 			CompileHits:    s.compileHits.Load(),
+			CompilePanics:  s.compilePanics.Load(),
 			PlanThaws:      s.planThaws.Load(),
 			CostEvals:      s.costEvals.Load(),
 			PlansLive:      live,

@@ -274,12 +274,23 @@ func TestMalformedPlanRejected(t *testing.T) {
 // Source whose compile panics inside a counting worker (an A(0,0) read
 // of a 1-based array) gets a 422 back, and the daemon keeps serving.
 func TestCompilePanicIsClientError(t *testing.T) {
-	_, ts, _ := newTestServer(t)
+	s, ts, _ := newTestServer(t)
+	// A parse error is a rejected input, not a compiler panic.
+	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: "PROGRAM broken\nDO\n", M: 64, N: 8})
+	if resp.StatusCode/100 != 4 {
+		t.Fatalf("POST /compile parse error: %s: %s", resp.Status, raw)
+	}
+	if got := s.Metrics().Server.CompilePanics; got != 0 {
+		t.Fatalf("compile_panics = %d after a parse error, want 0", got)
+	}
 	src := "PROGRAM oob\nPARAM m\nREAL A(m,m), X(m)\nDO 5 i = 1, m\n" +
 		"3   X(i) = A(0,0) + A(i,i)\n5 CONTINUE\nEND\n"
-	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: src, M: 64, N: 8})
+	resp, raw = postJSON(t, ts.URL+"/compile", CompileRequest{Source: src, M: 64, N: 8})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("POST /compile oob: %s: %s", resp.Status, raw)
+	}
+	if got := s.Metrics().Server.CompilePanics; got != 1 {
+		t.Fatalf("compile_panics = %d after a panicking compile, want 1", got)
 	}
 	compileProg(t, ts, "jacobi", 16, 4)
 }
